@@ -37,7 +37,7 @@ use std::sync::Mutex;
 
 use flashram_ir::MachineProgram;
 
-use crate::board::{Board, Engine, RunConfig, RunResult};
+use crate::board::{Board, RunConfig, RunResult};
 use crate::cpu::RunError;
 
 /// A worker-thread pool that runs simulation jobs against one [`Board`]
@@ -126,44 +126,6 @@ impl BatchRunner {
             Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
         };
         self.map(configs, |board, config| board.run_decoded(&decoded, config))
-    }
-
-    /// [`BatchRunner::run_configs`] on an explicit engine: the per-program
-    /// work (decode, and handler-table resolution for
-    /// [`Engine::Threaded`]) is done **once** and shared across every
-    /// configuration; the reference engine has no decoded form and runs
-    /// each slot from scratch.  `results[i]` is exactly what
-    /// [`Board::run_with_engine`] would return for `configs[i]`.
-    pub fn run_configs_engine(
-        &self,
-        program: &MachineProgram,
-        configs: &[RunConfig],
-        engine: Engine,
-    ) -> Vec<Result<RunResult, RunError>> {
-        match engine {
-            Engine::Reference => self.map(configs, |board, config| {
-                board.run_reference_with_config(program, config)
-            }),
-            Engine::Decoded => self.run_configs(program, configs),
-            Engine::Threaded => {
-                let threaded = match self.board.prepare_threaded(program) {
-                    Ok(threaded) => threaded,
-                    Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
-                };
-                self.map(configs, |board, config| {
-                    board.run_threaded(&threaded, config)
-                })
-            }
-            Engine::Superblock => {
-                let threaded = match self.board.prepare_threaded(program) {
-                    Ok(threaded) => threaded,
-                    Err(e) => return configs.iter().map(|_| Err(e.clone())).collect(),
-                };
-                self.map(configs, |board, config| {
-                    board.run_superblock(&threaded, config)
-                })
-            }
-        }
     }
 
     /// Validation fan-out: run `baseline` once, then every variant across
@@ -342,10 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn run_configs_engine_matches_independent_runs_on_every_engine() {
+    fn run_configs_matches_independent_decoded_and_reference_runs() {
         let board = Board::stm32vldiscovery();
-        // Hot enough (2000 iterations) to tier up under the superblock
-        // engine, with one budget slot expiring mid-loop.
+        // One budget slot expires mid-loop, one after it.
         let program = compile(
             "int main() { int s = 0; for (int i = 0; i < 2000; i++) { s += i; } return s; }",
         );
@@ -355,11 +316,17 @@ mod tests {
             RunConfig { max_cycles: 20_000 },
         ];
         let runner = BatchRunner::with_threads(board.clone(), NonZeroUsize::new(3).unwrap());
-        for engine in Engine::ALL {
-            let batched = runner.run_configs_engine(&program, &configs, engine);
-            for (i, config) in configs.iter().enumerate() {
-                let solo = board.run_with_engine(&program, config, engine);
-                match (&batched[i], &solo) {
+        let batched = runner.run_configs(&program, &configs);
+        for (i, config) in configs.iter().enumerate() {
+            let solos = [
+                ("decoded", board.run_with_config(&program, config)),
+                (
+                    "reference",
+                    board.run_reference_with_config(&program, config),
+                ),
+            ];
+            for (engine, solo) in &solos {
+                match (&batched[i], solo) {
                     (Ok(b), Ok(s)) => {
                         assert!(b.bits_eq(s), "{engine} slot {i} not bit-identical")
                     }

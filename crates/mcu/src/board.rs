@@ -13,11 +13,9 @@ use flashram_isa::TimingModel;
 
 use crate::cpu::{Cpu, CpuResult, RunError};
 use crate::decode::DecodedProgram;
-use crate::dispatch::ThreadedProgram;
 use crate::energy::EnergyMeter;
 use crate::mem::{DataLayout, Memory, MemoryMap};
 use crate::power::PowerModel;
-use crate::superblock::{execute_tiered, TierStats};
 
 /// Per-run configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,10 +49,6 @@ pub struct RunResult {
     pub profile: ProfileData,
     /// Where data and code ended up.
     pub layout: DataLayout,
-    /// Tiering observability (superblock engine only, `None` elsewhere).
-    /// Describes *how* the engine ran, not *what* the program computed, so
-    /// it is excluded from [`RunResult::bits_eq`].
-    pub tier: Option<TierStats>,
 }
 
 impl RunResult {
@@ -67,12 +61,10 @@ impl RunResult {
     /// pattern, not by value.
     ///
     /// This is the relation the simulator's determinism guarantees are
-    /// stated in: every engine (decoded, threaded, superblock) versus the
-    /// reference interpreter, and batched versus sequential execution, must
-    /// agree under `bits_eq`.  The differential test suites and the
-    /// `sim_perf` bit-identity verdict all share this one definition.  The
-    /// [`RunResult::tier`] observability field is deliberately excluded —
-    /// it reports engine internals, not program-observable results.
+    /// stated in: the decoded engine versus the reference interpreter, and
+    /// batched versus sequential execution, must agree under `bits_eq`.
+    /// The differential test suites and the `sim_perf` bit-identity verdict
+    /// all share this one definition.
     pub fn bits_eq(&self, other: &RunResult) -> bool {
         self.return_value == other.return_value
             && self.meter == other.meter
@@ -81,58 +73,6 @@ impl RunResult {
             && self.avg_power_mw.to_bits() == other.avg_power_mw.to_bits()
             && self.profile == other.profile
             && self.layout == other.layout
-    }
-}
-
-/// One of the simulator's execution engines.
-///
-/// All four are observably bit-identical (under [`RunResult::bits_eq`]) for
-/// every valid program; they differ only in throughput:
-///
-/// * [`Engine::Reference`] — the IR-walking interpreter
-///   ([`crate::cpu::Cpu`]), the semantics oracle;
-/// * [`Engine::Decoded`] — the predecoded flat-op engine with a central
-///   match dispatch ([`crate::decode`]);
-/// * [`Engine::Threaded`] — the same decoded form driven by per-op handler
-///   fn-pointers with continuation-passing dispatch ([`crate::dispatch`]);
-/// * [`Engine::Superblock`] — the tiered engine: match-dispatch tier 0 plus
-///   deterministic promotion of hot loops into straight-line superblocks
-///   ([`crate::superblock`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// IR-walking reference interpreter.
-    Reference,
-    /// Predecoded flat-op engine, central match dispatch.
-    Decoded,
-    /// Threaded dispatch over the decoded form.
-    Threaded,
-    /// Tiered interpreter + superblock compilation of hot loops.
-    Superblock,
-}
-
-impl Engine {
-    /// Every engine, reference first.
-    pub const ALL: [Engine; 4] = [
-        Engine::Reference,
-        Engine::Decoded,
-        Engine::Threaded,
-        Engine::Superblock,
-    ];
-
-    /// Stable lowercase name (used in benchmark reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Reference => "reference",
-            Engine::Decoded => "decoded",
-            Engine::Threaded => "threaded",
-            Engine::Superblock => "superblock",
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -235,77 +175,6 @@ impl Board {
         Ok(self.finish_run(out, decoded.layout().clone()))
     }
 
-    /// Resolve the threaded-dispatch handler table for a program (decode
-    /// plus handler resolution; the per-program work for
-    /// [`Board::run_threaded`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Board::decode`].
-    pub fn prepare_threaded(&self, program: &MachineProgram) -> Result<ThreadedProgram, RunError> {
-        Ok(ThreadedProgram::build(self.decode(program)?))
-    }
-
-    /// Run an already-prepared program on the threaded-dispatch engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`Board::run_decoded`].
-    pub fn run_threaded(
-        &self,
-        threaded: &ThreadedProgram,
-        config: &RunConfig,
-    ) -> Result<RunResult, RunError> {
-        let out = threaded.execute(&self.power, &self.timing, config.max_cycles)?;
-        Ok(self.finish_run(out, threaded.base().layout().clone()))
-    }
-
-    /// Run an already-prepared program on the tiered superblock engine
-    /// (threaded-dispatch tier 0 with hot loops promoted to superblocks —
-    /// the handler table doubles as the superblock tier's substrate).
-    ///
-    /// The returned result carries [`RunResult::tier`] observability.
-    ///
-    /// # Errors
-    ///
-    /// See [`Board::run_decoded`].
-    pub fn run_superblock(
-        &self,
-        threaded: &ThreadedProgram,
-        config: &RunConfig,
-    ) -> Result<RunResult, RunError> {
-        let (out, stats) = execute_tiered(threaded, &self.power, &self.timing, config.max_cycles)?;
-        let mut result = self.finish_run(out, threaded.base().layout().clone());
-        result.tier = Some(stats);
-        Ok(result)
-    }
-
-    /// Run a program on the named engine — the uniform entry point the
-    /// differential suites and `sim_perf` fan out over.
-    ///
-    /// # Errors
-    ///
-    /// See [`Board::run`].
-    pub fn run_with_engine(
-        &self,
-        program: &MachineProgram,
-        config: &RunConfig,
-        engine: Engine,
-    ) -> Result<RunResult, RunError> {
-        match engine {
-            Engine::Reference => self.run_reference_with_config(program, config),
-            Engine::Decoded => self.run_with_config(program, config),
-            Engine::Threaded => {
-                let threaded = self.prepare_threaded(program)?;
-                self.run_threaded(&threaded, config)
-            }
-            Engine::Superblock => {
-                let threaded = self.prepare_threaded(program)?;
-                self.run_superblock(&threaded, config)
-            }
-        }
-    }
-
     /// Run a program on the IR-walking reference interpreter
     /// ([`crate::cpu::Cpu`]) with the default configuration.
     ///
@@ -358,7 +227,6 @@ impl Board {
             avg_power_mw,
             profile: out.profile,
             layout,
-            tier: None,
         }
     }
 

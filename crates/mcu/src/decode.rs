@@ -108,15 +108,15 @@ impl From<DecodeError> for RunError {
 /// whether the op executes from RAM (and therefore pays the contention
 /// stall when its data access also hits RAM).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MemCharge {
-    pub(crate) flat_base: u16,
-    pub(crate) base_cycles: u8,
-    pub(crate) contend: bool,
+struct MemCharge {
+    flat_base: u16,
+    base_cycles: u8,
+    contend: bool,
 }
 
 /// A prefused static charge aggregate: `(bucket, cycles)`, where a zeroed
 /// slot charges zero cycles to bucket zero (a no-op).
-pub(crate) type ChargeSlot = (u16, u32);
+type ChargeSlot = (u16, u32);
 
 /// One decoded operation.  Compact and fixed-size: register operands are
 /// raw indices, push/pop register lists live in a side table, and literal
@@ -135,7 +135,7 @@ pub(crate) type ChargeSlot = (u16, u32);
 /// *any* adjacent ops of the right shapes, whatever their register
 /// dependencies.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Op {
+enum Op {
     /// Charge a prefused cycle aggregate to one counter bucket (post-call
     /// segments, or overflow from the [`Chunk::charges`] slots).
     Charge {
@@ -493,7 +493,7 @@ pub(crate) enum Op {
 /// How control leaves a chunk.  All targets are direct indices into the
 /// chunk array, resolved and validated at decode time.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ChunkExit {
+enum ChunkExit {
     /// `bl callee`: charge, push the next chunk, enter the callee's entry
     /// chunk.
     Call {
@@ -558,22 +558,22 @@ pub(crate) enum ChunkExit {
 
 /// Sentinel for chunks that resume a block after a call (they are not
 /// block heads and must not bump the block's execution count).
-pub(crate) const NOT_A_HEAD: u32 = u32::MAX;
+const NOT_A_HEAD: u32 = u32::MAX;
 
 /// One straight-line piece of a basic block: a run of ops ending either at
 /// a call site or at the block's terminator.  Chunk boundaries are exactly
 /// the reference interpreter's scheduling points, which is what keeps the
 /// cycle-limit check bit-identical.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Chunk {
-    pub(crate) op_start: u32,
-    pub(crate) op_end: u32,
+struct Chunk {
+    op_start: u32,
+    op_end: u32,
     /// Flat block index for profile counting, or [`NOT_A_HEAD`].
-    pub(crate) block: u32,
+    block: u32,
     /// Prefused static `(bucket, cycles)` charge aggregates, applied
     /// unconditionally on chunk entry (a `(0, 0)` slot charges nothing).
-    pub(crate) charges: [ChargeSlot; 2],
-    pub(crate) exit: ChunkExit,
+    charges: [ChargeSlot; 2],
+    exit: ChunkExit,
 }
 
 /// Decode-time fusion of two adjacent ops into one superinstruction, if
@@ -940,7 +940,7 @@ fn fuse(a: Op, b: Op) -> Option<Op> {
 /// Greedy left-to-right fusion over a chunk body, repeated until a pass
 /// fuses nothing more, so pair superinstructions grow into the triple and
 /// quad patterns.
-pub(crate) fn peephole(body: &mut Vec<Op>) {
+fn peephole(body: &mut Vec<Op>) {
     loop {
         let before = body.len();
         let mut out = Vec::with_capacity(body.len());
@@ -978,15 +978,15 @@ pub(crate) fn peephole(body: &mut Vec<Op>) {
 /// timing model are baked into the lowered ops); run it on the same board.
 #[derive(Debug, Clone)]
 pub struct DecodedProgram {
-    pub(crate) ops: Vec<Op>,
-    pub(crate) chunks: Vec<Chunk>,
-    pub(crate) reg_lists: Vec<Reg>,
-    pub(crate) entry_chunk: u32,
+    ops: Vec<Op>,
+    chunks: Vec<Chunk>,
+    reg_lists: Vec<Reg>,
+    entry_chunk: u32,
     /// Flat block index → `(function, block)`, for the profile fold.
-    pub(crate) block_map: Vec<BlockRef>,
-    pub(crate) num_functions: usize,
-    pub(crate) memory: Memory,
-    pub(crate) layout: DataLayout,
+    block_map: Vec<BlockRef>,
+    num_functions: usize,
+    memory: Memory,
+    layout: DataLayout,
 }
 
 /// Decode-time emission state for one program.
@@ -1656,25 +1656,23 @@ fn mem_charge(inst: &Inst, class: InstClass, exec: Section, instr_pen: u64) -> M
     }
 }
 
-/// Mutable per-run state shared by every engine that drives the decoded
-/// form (the match-dispatch engine, the threaded-dispatch engine, and the
-/// tiered superblock engine).
-pub(crate) struct ExecState {
-    pub(crate) memory: Memory,
-    pub(crate) regs: [i32; 16],
-    pub(crate) flags: Flags,
-    pub(crate) counters: CycleCounters,
-    pub(crate) block_counts: Vec<u64>,
-    pub(crate) call_counts: Vec<u64>,
-    pub(crate) call_stack: Vec<u32>,
-    pub(crate) load_pen: u64,
-    pub(crate) store_pen: u64,
+/// Mutable per-run state of one execution of a decoded program.
+struct ExecState {
+    memory: Memory,
+    regs: [i32; 16],
+    flags: Flags,
+    counters: CycleCounters,
+    block_counts: Vec<u64>,
+    call_counts: Vec<u64>,
+    call_stack: Vec<u32>,
+    load_pen: u64,
+    store_pen: u64,
 }
 
 impl ExecState {
     /// Fresh per-run state for one execution of `prog` (pristine memory
     /// image, zeroed counters, SP at the top of RAM).
-    pub(crate) fn new(prog: &DecodedProgram, timing: &TimingModel) -> ExecState {
+    fn new(prog: &DecodedProgram, timing: &TimingModel) -> ExecState {
         let mut regs = [0i32; 16];
         regs[Reg::Sp.index()] = prog.memory.map().initial_sp() as i32;
         ExecState {
@@ -1693,12 +1691,12 @@ impl ExecState {
     /// Read a register.  Indices come from `Reg::index()` at decode time so
     /// they are always `< 16`; the mask proves it to the bounds checker.
     #[inline(always)]
-    pub(crate) fn r(&self, i: u8) -> i32 {
+    fn r(&self, i: u8) -> i32 {
         self.regs[(i & 15) as usize]
     }
 
     #[inline(always)]
-    pub(crate) fn set_r(&mut self, i: u8, v: i32) {
+    fn set_r(&mut self, i: u8, v: i32) {
         self.regs[(i & 15) as usize] = v;
     }
 
@@ -1706,7 +1704,7 @@ impl ExecState {
     /// cycles charged so the caller can maintain the running total in a
     /// register.
     #[inline]
-    pub(crate) fn charge_load(&mut self, charge: MemCharge, section: Section) -> u64 {
+    fn charge_load(&mut self, charge: MemCharge, section: Section) -> u64 {
         let mut cycles = charge.base_cycles as u64;
         if charge.contend && section == Section::Ram {
             cycles += self.load_pen;
@@ -1720,7 +1718,7 @@ impl ExecState {
 
     /// Store counterpart of [`ExecState::charge_load`].
     #[inline]
-    pub(crate) fn charge_store(&mut self, charge: MemCharge, section: Section) -> u64 {
+    fn charge_store(&mut self, charge: MemCharge, section: Section) -> u64 {
         let mut cycles = charge.base_cycles as u64;
         if charge.contend && section == Section::Ram {
             cycles += self.store_pen;
@@ -1798,10 +1796,8 @@ impl DecodedProgram {
 
     /// Fold a finished run's state into a [`CpuResult`]: write the running
     /// total back, collapse the counter cube into the meter, and fold the
-    /// flat profile counts.  Shared by every engine driving the decoded
-    /// form, so the fold order (and therefore the float bits) cannot
-    /// diverge between them.
-    pub(crate) fn assemble(
+    /// flat profile counts.
+    fn assemble(
         &self,
         mut st: ExecState,
         total: u64,
@@ -1827,18 +1823,8 @@ impl DecodedProgram {
 
 /// Execute one decoded op against `st`, maintaining the caller's running
 /// cycle total.
-///
-/// This is the single source of op semantics for the match-dispatch engine
-/// and the superblock tier; `crate::dispatch` mirrors these bodies in its
-/// per-variant handlers, and the equivalence suites hold the two in
-/// lockstep.
 #[inline(always)]
-pub(crate) fn exec_op(
-    op: Op,
-    reg_lists: &[Reg],
-    st: &mut ExecState,
-    total: &mut u64,
-) -> Result<(), Fault> {
+fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Result<(), Fault> {
     match op {
         Op::Charge { bucket, cycles } => {
             st.counters.add_bucket(bucket, cycles as u64);
@@ -2240,9 +2226,8 @@ pub(crate) fn exec_op(
 /// Apply a chunk's exit: charge the branch/call/return cycles, update the
 /// flags and the call stack, and hand back the next chunk to dispatch —
 /// `None` when the outermost frame returned and the run is complete.
-/// Shared by every engine driving the decoded form.
 #[inline(always)]
-pub(crate) fn take_exit(
+fn take_exit(
     exit: &ChunkExit,
     st: &mut ExecState,
     total: &mut u64,

@@ -19,27 +19,20 @@
 //! The [`Board`] type ties the pieces together: it lays out a
 //! [`MachineProgram`](flashram_ir::MachineProgram)'s data in the address
 //! space, interprets its code cycle by cycle, and reports time, energy,
-//! average power and a per-block execution profile.  Four execution
-//! engines ([`Engine`]) share those semantics: the IR-walking reference
-//! interpreter ([`cpu::Cpu`], reachable via
-//! [`Board::run_reference`](board::Board::run_reference)); the decoded
-//! engine ([`decode::DecodedProgram`]) that
-//! [`Board::run`](board::Board::run) drives by default — a one-time
-//! lowering pass that flattens blocks into compact ops, resolves literal
-//! symbols, validates all cross-references, and prefuses statically known
-//! cycle charges; the threaded dispatcher
-//! ([`dispatch::ThreadedProgram`]), which replaces the executor's central
-//! match with per-op handler function pointers; and the tiered superblock
-//! engine ([`superblock`]), which profiles loop heads at run time and
-//! stitches hot loop bodies into straight-line superblocks executed with
-//! one budget check per iteration.  All three lowered engines are held
-//! bit-identical to the reference interpreter — same energy bits, same
-//! profile, same errors at every cycle budget.  [`BatchRunner`] scales
-//! them up: it fans a set of
-//! programs (or configurations) out over a worker pool and collects results
-//! that are order-stable and bit-identical to sequential runs — the
-//! substrate for every sweep in `flashram-bench` and the heavy integration
-//! tests.
+//! average power and a per-block execution profile.  Two execution engines
+//! share those semantics: the IR-walking reference interpreter
+//! ([`cpu::Cpu`], reachable via
+//! [`Board::run_reference`](board::Board::run_reference)), which is the
+//! semantics oracle; and the decoded engine ([`decode::DecodedProgram`])
+//! that [`Board::run`](board::Board::run) drives — a one-time lowering pass
+//! that flattens blocks into compact ops, resolves literal symbols,
+//! validates all cross-references, and prefuses statically known cycle
+//! charges.  The decoded engine is held bit-identical to the reference
+//! interpreter — same energy bits, same profile, same errors at every cycle
+//! budget.  [`BatchRunner`] scales them up: it fans a set of programs (or
+//! configurations) out over a worker pool and collects results that are
+//! order-stable and bit-identical to sequential runs — the substrate for
+//! every sweep in `flashram-bench` and the heavy integration tests.
 //!
 //! This crate corresponds to Sections 3 (measurement setup), 5 (power
 //! model) and 7 (sleep scenario) of the paper.
@@ -51,18 +44,14 @@ pub mod batch;
 pub mod board;
 pub mod cpu;
 pub mod decode;
-pub mod dispatch;
 pub mod energy;
 pub mod mem;
 pub mod power;
-pub mod superblock;
 
 pub use batch::BatchRunner;
-pub use board::{Board, Engine, RunConfig, RunResult, SleepScenario};
+pub use board::{Board, RunConfig, RunResult, SleepScenario};
 pub use cpu::RunError;
 pub use decode::{DecodeError, DecodedProgram};
-pub use dispatch::ThreadedProgram;
 pub use energy::{CycleCounters, EnergyMeter};
 pub use mem::{DataLayout, Memory, MemoryMap};
 pub use power::PowerModel;
-pub use superblock::TierStats;

@@ -1,12 +1,11 @@
-//! Differential property tests: every execution engine (decoded, threaded
-//! dispatch, tiered superblock) must be observably bit-identical to the
-//! IR-walking reference interpreter — same `EnergyMeter` (to the energy
-//! bit), same `ProfileData`, same return value, and the same errors,
-//! including `CycleLimit { limit, executed }` at every possible budget,
-//! budgets expiring inside superinstructions and superblocks included.
+//! Differential property tests: the decoded engine must be observably
+//! bit-identical to the IR-walking reference interpreter — same
+//! `EnergyMeter` (to the energy bit), same `ProfileData`, same return value,
+//! and the same errors, including `CycleLimit { limit, executed }` at every
+//! possible budget, budgets expiring inside superinstructions included.
 
 use flashram_ir::Section;
-use flashram_mcu::{Board, Engine, RunConfig, RunError, RunResult};
+use flashram_mcu::{Board, RunConfig, RunError, RunResult};
 use flashram_minicc::{compile_program, OptLevel, SourceUnit};
 use proptest::prelude::*;
 
@@ -16,30 +15,28 @@ fn compile(src: &str, level: OptLevel) -> flashram_ir::MachineProgram {
 
 /// Assert two run outcomes are bit-identical, errors included.
 fn assert_same(
-    engine: &Result<RunResult, RunError>,
+    decoded: &Result<RunResult, RunError>,
     reference: &Result<RunResult, RunError>,
     what: &str,
 ) {
-    match (engine, reference) {
+    match (decoded, reference) {
         (Ok(d), Ok(r)) => {
             assert!(
                 d.bits_eq(r),
-                "{what}: results diverge\nengine: {d:?}\nreference: {r:?}"
+                "{what}: results diverge\ndecoded: {d:?}\nreference: {r:?}"
             );
         }
         (Err(d), Err(r)) => assert_eq!(d, r, "{what}: errors diverge"),
-        (d, r) => panic!("{what}: engine {d:?} vs reference {r:?}"),
+        (d, r) => panic!("{what}: decoded {d:?} vs reference {r:?}"),
     }
 }
 
-/// Run `program` on the reference interpreter and on every other engine,
-/// asserting each is bit-identical to the reference.
+/// Run `program` on both engines and assert the decoded run is
+/// bit-identical to the reference.
 fn run_both(board: &Board, program: &flashram_ir::MachineProgram, config: &RunConfig, what: &str) {
+    let decoded = board.run_with_config(program, config);
     let reference = board.run_reference_with_config(program, config);
-    for engine in [Engine::Decoded, Engine::Threaded, Engine::Superblock] {
-        let result = board.run_with_engine(program, config, engine);
-        assert_same(&result, &reference, &format!("{what} [{engine}]"));
-    }
+    assert_same(&decoded, &reference, what);
 }
 
 /// A compact generated program: one of a few shapes covering arithmetic,
@@ -160,15 +157,12 @@ fn every_cycle_budget_agrees_with_the_reference() {
     }
 }
 
-/// A loop hot enough to cross the superblock promotion threshold, swept at
-/// **every** cycle budget from 0 to just past completion.  Most budgets in
-/// the upper range expire while the superblock tier is active, so this
-/// pins down the elided-check certificate: `CycleLimit { limit, executed }`
-/// must be bit-exact even when the reference interpreter's check would
-/// have fired mid-iteration.  The loop body mixes memory traffic and
-/// fusable arithmetic so superinstruction seams are covered too.
+/// A hot loop swept at **every** cycle budget from 0 to just past
+/// completion.  The loop body mixes memory traffic and fusable arithmetic,
+/// so many budgets expire at the seams of superinstructions and prefused
+/// charges: `CycleLimit { limit, executed }` must still be bit-exact.
 #[test]
-fn hot_loop_budget_sweep_expires_mid_superblock() {
+fn hot_loop_budget_sweep_agrees_with_the_reference() {
     let board = Board::stm32vldiscovery();
     let src = "
         int acc[4];
@@ -182,18 +176,6 @@ fn hot_loop_budget_sweep_expires_mid_superblock() {
         }
     ";
     let program = compile(src, OptLevel::O2);
-
-    // Prove the sweep exercises the tier it claims to: the full run must
-    // actually build and execute at least one superblock.
-    let full = board
-        .run_with_engine(&program, &RunConfig::default(), Engine::Superblock)
-        .unwrap();
-    let tier = full.tier.expect("superblock engine reports tier stats");
-    assert!(
-        tier.superblocks_built >= 1 && tier.superblock_iterations > 64,
-        "hot loop should tier up: {tier:?}"
-    );
-
     let total = board.run(&program).unwrap().cycles();
     for limit in 0..=total + 2 {
         run_both(
@@ -202,38 +184,6 @@ fn hot_loop_budget_sweep_expires_mid_superblock() {
             &RunConfig { max_cycles: limit },
             &format!("hot-loop budget {limit}/{total}"),
         );
-    }
-}
-
-/// Tier stats are surfaced only by the superblock engine, and the
-/// promotion counters are deterministic run to run.
-#[test]
-fn tier_stats_are_deterministic_and_engine_specific() {
-    let board = Board::stm32vldiscovery();
-    let src = "
-        int main() {
-            int s = 0;
-            for (int i = 0; i < 500; i++) { s += i ^ (s >> 1); }
-            return s;
-        }
-    ";
-    let program = compile(src, OptLevel::O2);
-    let config = RunConfig::default();
-
-    let a = board
-        .run_with_engine(&program, &config, Engine::Superblock)
-        .unwrap();
-    let b = board
-        .run_with_engine(&program, &config, Engine::Superblock)
-        .unwrap();
-    assert_eq!(a.tier, b.tier, "tier stats must be deterministic");
-    let tier = a.tier.expect("superblock engine reports tier stats");
-    assert!(tier.hot_heads >= 1, "{tier:?}");
-    assert!(tier.superblock_ops > 0, "{tier:?}");
-
-    for engine in [Engine::Reference, Engine::Decoded, Engine::Threaded] {
-        let r = board.run_with_engine(&program, &config, engine).unwrap();
-        assert_eq!(r.tier, None, "{engine} should not report tier stats");
     }
 }
 

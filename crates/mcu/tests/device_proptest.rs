@@ -1,9 +1,8 @@
 //! Differential property tests across the device database: for every
 //! registered device — and for randomly generated `DeviceDescriptor`s with
-//! arbitrary wait states, prefetch settings and contention penalties —
-//! every execution engine (decoded, threaded dispatch, tiered superblock)
-//! must stay observably bit-identical to the IR-walking reference
-//! interpreter, with code split arbitrarily between flash and RAM.
+//! arbitrary wait states, prefetch settings and contention penalties — the
+//! decoded engine must stay observably bit-identical to the IR-walking
+//! reference interpreter, with code split arbitrarily between flash and RAM.
 
 use flashram_device::{
     CodeMemoryKind, DeviceDescriptor, DeviceMemoryMap, MemoryRegion, OperatingPoint, RamContention,
@@ -11,7 +10,7 @@ use flashram_device::{
 };
 use flashram_ir::Section;
 use flashram_isa::FlashTiming;
-use flashram_mcu::{Board, Engine, RunConfig, RunError, RunResult};
+use flashram_mcu::{Board, RunConfig, RunError, RunResult};
 use flashram_minicc::{compile_program, OptLevel, SourceUnit};
 use proptest::prelude::*;
 
@@ -30,29 +29,27 @@ const SRC: &str = "
 ";
 
 fn assert_same(
-    engine: &Result<RunResult, RunError>,
+    decoded: &Result<RunResult, RunError>,
     reference: &Result<RunResult, RunError>,
     what: &str,
 ) {
-    match (engine, reference) {
+    match (decoded, reference) {
         (Ok(d), Ok(r)) => assert!(
             d.bits_eq(r),
-            "{what}: results diverge\nengine: {d:?}\nreference: {r:?}"
+            "{what}: results diverge\ndecoded: {d:?}\nreference: {r:?}"
         ),
         (Err(d), Err(r)) => assert_eq!(d, r, "{what}: errors diverge"),
-        (d, r) => panic!("{what}: engine {d:?} vs reference {r:?}"),
+        (d, r) => panic!("{what}: decoded {d:?} vs reference {r:?}"),
     }
 }
 
-/// Run on the reference interpreter and on every fast engine, asserting
-/// each agrees to the bit — the generated wait-state/prefetch charges must
-/// bake into threaded handlers and superblock static charges identically.
+/// Run on both engines and assert they agree to the bit — the generated
+/// wait-state/prefetch charges must bake into the decoded engine's
+/// prefused static charges exactly as the reference charges them.
 fn run_both(board: &Board, program: &flashram_ir::MachineProgram, config: &RunConfig, what: &str) {
+    let decoded = board.run_with_config(program, config);
     let reference = board.run_reference_with_config(program, config);
-    for engine in [Engine::Decoded, Engine::Threaded, Engine::Superblock] {
-        let result = board.run_with_engine(program, config, engine);
-        assert_same(&result, &reference, &format!("{what} [{engine}]"));
-    }
+    assert_same(&decoded, &reference, what);
 }
 
 /// Relocate the blocks selected by `mask` (over all application functions)

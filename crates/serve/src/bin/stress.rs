@@ -20,7 +20,9 @@
 //! e.g. `rate=0.05`; requires building with `--features fault-injection`).
 //! Chaos runs additionally assert cache coherence and exclude
 //! injected-degraded answers from the bit-identity sample; the report
-//! gains a `chaos` section.
+//! gains a `chaos` section and goes to `BENCH_serve_chaos.json` unless
+//! `--out` says otherwise, so a chaos run never overwrites the fault-free
+//! baseline.
 
 use std::time::Duration;
 
@@ -41,7 +43,6 @@ fn main() {
     let seed: u64 = flag("--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(20150207);
-    let out = flag("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
 
     let mut cfg = if has("--short") {
         StressConfig::short(seed)
@@ -105,6 +106,14 @@ fn main() {
         }
         cfg.chaos = Some(chaos);
     }
+    let out = flag("--out").unwrap_or_else(|| {
+        let default = if cfg.chaos.is_some() {
+            "BENCH_serve_chaos.json"
+        } else {
+            "BENCH_serve.json"
+        };
+        default.to_string()
+    });
 
     eprintln!(
         "stress: seed {seed}, {} clients, {} ({} kernels × {} devices)",
@@ -163,7 +172,7 @@ fn main() {
         );
     }
 
-    std::fs::write(&out, stress_report_json(&report)).expect("write BENCH_serve.json");
+    std::fs::write(&out, stress_report_json(&report)).expect("write the stress report");
     println!("wrote {out}");
 
     if !report.failures.is_empty() {

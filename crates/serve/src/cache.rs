@@ -1,5 +1,5 @@
 //! The session cache: one built [`PlacementSession`] per `(program
-//! contents, device, scope)`, with LRU eviction.
+//! contents, device, scope)`, evicting the least-used idle session.
 //!
 //! # Keying and collision safety
 //!
@@ -19,11 +19,23 @@
 //!
 //! # Eviction invariants
 //!
-//! Eviction happens on insert, least-recently-used first, and **never**
-//! touches an entry that is pinned (queued jobs reference it) or claimed (a
-//! worker is solving on it).  If every entry is in use the cache grows past
-//! its capacity rather than blocking — admission backpressure is the
-//! server's job, not the cache's.
+//! At most `capacity` entries are kept idle; entries in use — pinned
+//! (queued jobs reference them) or claimed (a worker is solving on them) —
+//! do not count and are **never** evicted, so a burst of distinct requests
+//! grows the cache past its capacity rather than blocking (admission
+//! backpressure is the server's job, not the cache's).
+//!
+//! The victim is the idle entry with the fewest reuses (lookups that found
+//! it), least recently used among equals.  An insert into a full cache
+//! evicts only entries that were never reused: when every idle entry has
+//! been, the newcomer runs over capacity, and when a worker releases it
+//! the least-reused idle entry goes — the newcomer itself, unless it was
+//! reused meanwhile.  Each such release-time eviction halves all reuse
+//! counts, so sessions that stop being reused age out and a new working
+//! set moves in after a few misses.  Evicting the least recently used entry on every insert would
+//! let each one-off `(program, device)` pair push out a hot session that
+//! then misses on its next request: once the working set outgrows the
+//! cache, every rare request would cost two misses.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,6 +92,16 @@ struct CacheEntry {
     pins: usize,
     /// LRU clock value of the last lookup or claim.
     last_used: u64,
+    /// Lookups that found this entry, halved on every release-time
+    /// eviction (module docs).
+    reuses: u64,
+}
+
+impl CacheEntry {
+    /// Neither pinned nor claimed: the only entries eviction may touch.
+    fn is_idle(&self) -> bool {
+        self.pins == 0 && self.state.is_some()
+    }
 }
 
 /// Counters describing the cache's behavior so far (monotone).
@@ -90,7 +112,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to create a new entry.
     pub misses: u64,
-    /// Entries evicted by the LRU policy.
+    /// Entries evicted to keep at most `capacity` entries idle.
     pub evictions: u64,
     /// Lookups whose [`SessionKey`] matched an entry holding a *different*
     /// program — a fingerprint collision caught by the deep comparison.
@@ -110,7 +132,7 @@ pub struct CacheStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct EntryId(u64);
 
-/// The LRU session cache (see the module docs for the invariants).
+/// The session cache (see the module docs for the invariants).
 #[derive(Debug)]
 pub struct SessionCache {
     capacity: usize,
@@ -124,8 +146,8 @@ pub struct SessionCache {
 }
 
 impl SessionCache {
-    /// A cache holding at most `capacity` unpinned sessions (it may
-    /// transiently exceed `capacity` when every entry is in use).
+    /// A cache keeping at most `capacity` idle sessions (entries in use
+    /// come on top; see the module docs).
     pub fn new(capacity: usize) -> SessionCache {
         SessionCache {
             capacity: capacity.max(1),
@@ -182,7 +204,9 @@ impl SessionCache {
             }
             if let Some(id) = found {
                 self.stats.hits += 1;
-                self.entries.get_mut(&id).expect("indexed entry").last_used = tick;
+                let entry = self.entries.get_mut(&id).expect("indexed entry");
+                entry.last_used = tick;
+                entry.reuses += 1;
                 return (id, true);
             }
         }
@@ -198,31 +222,52 @@ impl SessionCache {
                 state: Some(EntryState::default()),
                 pins: 0,
                 last_used: tick,
+                reuses: 0,
             },
         );
         self.index.entry(key).or_default().push(id);
         (id, false)
     }
 
-    /// Evict least-recently-used evictable entries until a new insert fits.
+    /// Make room for an insert by evicting never-reused idle entries while
+    /// the cache is full; reused ones are left to
+    /// [`SessionCache::release`].
     fn evict_to_fit(&mut self) {
         while self.entries.len() >= self.capacity {
-            let Some(id) = self.lru_idle_victim() else {
-                // Everything is in use; grow past capacity instead of
-                // blocking (the admission queue bounds how far).
-                return;
-            };
-            self.remove_entry(id);
-            self.stats.evictions += 1;
+            match self.idle_victim() {
+                Some(id) if self.entries[&id].reuses == 0 => {
+                    self.remove_entry(id);
+                    self.stats.evictions += 1;
+                }
+                _ => return,
+            }
         }
     }
 
-    /// The least-recently-used entry that is neither pinned nor claimed.
-    fn lru_idle_victim(&self) -> Option<EntryId> {
+    /// Evict idle entries, least reused first, until at most `capacity`
+    /// are idle, halving every reuse count per eviction.
+    fn shrink_to_capacity(&mut self) {
+        while self.idle_count() > self.capacity {
+            let id = self.idle_victim().expect("an idle entry exists");
+            self.remove_entry(id);
+            self.stats.evictions += 1;
+            for entry in self.entries.values_mut() {
+                entry.reuses /= 2;
+            }
+        }
+    }
+
+    fn idle_count(&self) -> usize {
+        self.entries.values().filter(|e| e.is_idle()).count()
+    }
+
+    /// The entry neither pinned nor claimed with the fewest reuses, least
+    /// recently used among equals.
+    fn idle_victim(&self) -> Option<EntryId> {
         self.entries
             .iter()
-            .filter(|(_, e)| e.pins == 0 && e.state.is_some())
-            .min_by_key(|(_, e)| e.last_used)
+            .filter(|(_, e)| e.is_idle())
+            .min_by_key(|(_, e)| (e.reuses, e.last_used))
             .map(|(&id, _)| id)
     }
 
@@ -240,13 +285,13 @@ impl SessionCache {
         entry
     }
 
-    /// Force-evict the LRU idle entry regardless of occupancy pressure —
+    /// Force-evict the next idle victim regardless of occupancy pressure —
     /// the fault-injection eviction-race failpoint, simulating an eviction
     /// racing the next admission for the same key.  No-op (returning
     /// `false`) when every entry is pinned or claimed.
     #[cfg(feature = "fault-injection")]
     pub(crate) fn evict_one_idle(&mut self) -> bool {
-        let Some(id) = self.lru_idle_victim() else {
+        let Some(id) = self.idle_victim() else {
             return false;
         };
         self.remove_entry(id);
@@ -289,15 +334,18 @@ impl SessionCache {
         Some((Arc::clone(&entry.program), state))
     }
 
-    /// Return a claimed entry's state after solving.  Tolerates an entry
-    /// that was quarantined while the worker held the state (the stale
-    /// state is simply dropped — the rebuilt entry must never see it).
+    /// Return a claimed entry's state after solving, then evict idle
+    /// entries while the cache is over capacity (possibly `id` itself, if
+    /// no job is queued on it).  Tolerates an entry that was quarantined
+    /// while the worker held the state (the stale state is simply dropped —
+    /// the rebuilt entry must never see it).
     pub(crate) fn release(&mut self, id: EntryId, state: EntryState) {
         let Some(entry) = self.entries.get_mut(&id) else {
             return;
         };
         debug_assert!(entry.state.is_none(), "release without claim");
         entry.state = Some(state);
+        self.shrink_to_capacity();
     }
 
     /// The session key of a live entry (used by workers to rebuild the
@@ -404,18 +452,47 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
     }
 
+    /// Admit one job for `k` and serve it, as the server does.
+    fn serve(cache: &mut SessionCache, k: u64) -> EntryId {
+        let (id, _) = cache.lookup_or_insert(key(k), &program(k as i32));
+        cache.pin(id);
+        let (_, state) = cache.claim(id).expect("claimable");
+        cache.unpin(id, 1);
+        cache.release(id, state);
+        id
+    }
+
     #[test]
-    fn lru_evicts_the_least_recently_used_unpinned_entry() {
+    fn the_least_reused_idle_entry_is_evicted() {
         let mut cache = SessionCache::new(2);
-        let (i1, _) = cache.lookup_or_insert(key(1), &program(1));
-        let (i2, _) = cache.lookup_or_insert(key(2), &program(2));
-        // Touch entry 1 so entry 2 is the LRU victim.
-        cache.lookup_or_insert(key(1), &program(1));
-        let (_, _) = cache.lookup_or_insert(key(3), &program(3));
+        let i1 = serve(&mut cache, 1);
+        let i2 = serve(&mut cache, 2);
+        serve(&mut cache, 1);
+        let i3 = serve(&mut cache, 3);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.len(), 2);
-        assert!(cache.entries.contains_key(&i1), "recently used survives");
-        assert!(!cache.entries.contains_key(&i2), "LRU entry evicted");
+        assert!(cache.contains(i1), "the reused entry survives");
+        assert!(!cache.contains(i2), "the older never-reused entry goes");
+        assert!(cache.contains(i3));
+    }
+
+    #[test]
+    fn a_newcomer_does_not_displace_reused_sessions() {
+        let mut cache = SessionCache::new(2);
+        let i1 = serve(&mut cache, 1);
+        let i2 = serve(&mut cache, 2);
+        serve(&mut cache, 1);
+        serve(&mut cache, 2);
+        // Both residents were reused: the newcomer is the one evicted.
+        let i3 = serve(&mut cache, 3);
+        assert!(!cache.contains(i3));
+        assert!(cache.contains(i1) && cache.contains(i2));
+        // The eviction halved the residents' reuses to zero, so the next
+        // newcomer displaces the least recently used of them.
+        let i4 = serve(&mut cache, 4);
+        assert!(!cache.contains(i1), "aged-out resident evicted");
+        assert!(cache.contains(i2) && cache.contains(i4));
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
@@ -424,15 +501,23 @@ mod tests {
         let (i1, _) = cache.lookup_or_insert(key(1), &program(1));
         cache.pin(i1);
         let (i2, _) = cache.lookup_or_insert(key(2), &program(2));
-        assert_eq!(cache.stats().evictions, 0, "pinned entry survives");
-        assert_eq!(cache.len(), 2, "cache grows past capacity instead");
-        cache.unpin(i1, 1);
-        // i2 claimed (state checked out): the next insert must evict i1.
-        assert!(cache.claim(i2).is_some());
+        cache.pin(i2);
+        let (_, state2) = cache.claim(i2).expect("claimable");
+        cache.unpin(i2, 1);
+        // Nothing is idle, so a third entry grows the cache past capacity.
+        let i3 = serve(&mut cache, 3);
+        assert_eq!(cache.stats().evictions, 0, "in-use entries survive");
+        assert_eq!(cache.len(), 3, "cache grows past capacity instead");
         assert!(cache.claim(i2).is_none(), "double claim is refused");
-        let (_, _) = cache.lookup_or_insert(key(3), &program(3));
-        assert!(!cache.entries.contains_key(&i1));
-        assert!(cache.entries.contains_key(&i2));
+        // i1 goes idle while i2 stays claimed: the next release keeps one
+        // idle entry, the newest, and never touches the claimed i2.
+        cache.unpin(i1, 1);
+        let i4 = serve(&mut cache, 4);
+        assert!(!cache.contains(i1) && !cache.contains(i3));
+        assert!(cache.contains(i2) && cache.contains(i4));
+        assert_eq!(cache.stats().evictions, 2);
+        cache.release(i2, state2);
+        assert_eq!(cache.len(), 1, "back within capacity once i2 is idle");
     }
 
     #[test]

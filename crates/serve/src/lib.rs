@@ -5,8 +5,9 @@
 //! budget".  This crate is the production-shaped front end around it: a
 //! long-running multi-threaded [`PlacementServer`] with
 //!
-//! * a [`SessionCache`] keyed by `(program contents, device, scope)` with
-//!   LRU eviction, so repeat queries share one model build and memo table;
+//! * a [`SessionCache`] keyed by `(program contents, device, scope)` that
+//!   evicts the least-reused idle session, so repeat queries share one
+//!   model build and memo table;
 //! * a bounded admission queue that coalesces queued queries for the same
 //!   session into one worker batch and shards independent sessions across
 //!   the worker pool (the work-stealing point for the very uneven 0.1 ms –

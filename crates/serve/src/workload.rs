@@ -14,7 +14,6 @@
 //! renders the numbers as the `BENCH_serve.json` document.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -230,6 +229,15 @@ impl StressConfig {
             chaos: None,
         }
     }
+
+    /// Admissions between two points of [`StressReport::hit_rate_timeline`]:
+    /// a tenth of a request-count run, every 100 admissions in a timed run.
+    pub fn timeline_step(&self) -> u64 {
+        match self.duration {
+            Some(_) => 100,
+            None => (self.clients * self.requests_per_client / 10).max(1) as u64,
+        }
+    }
 }
 
 /// One client's record of one answered request (for the validation
@@ -265,8 +273,8 @@ pub struct StressReport {
     pub memo_hit_rate: f64,
     /// Fraction of responses degraded (heuristic + timeout).
     pub degradation_rate: f64,
-    /// Cumulative session-hit-rate timeline sampled once per second
-    /// (soak mode) or per 25% of progress; used by the soak test's
+    /// Cumulative session-hit rate after every
+    /// [`StressConfig::timeline_step`] admissions; used by the soak test's
     /// monotonicity assertion.
     pub hit_rate_timeline: Vec<f64>,
     /// The server's final counters.
@@ -435,16 +443,16 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
     let samples: Mutex<Vec<Sample>> = Mutex::new(Vec::new());
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let timeline: Mutex<Vec<f64>> = Mutex::new(Vec::new());
+    let timeline_step = cfg.timeline_step();
 
     let started = Instant::now();
-    let finished = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for client in 0..cfg.clients {
             let server = &server;
             let latencies = &latencies;
             let samples = &samples;
             let errors = &errors;
-            let finished = &finished;
+            let timeline = &timeline;
             scope.spawn(move || {
                 let mut rng = cfg.seed ^ (client as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let mut local_latency = Vec::new();
@@ -465,8 +473,23 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
                     }
                     step += 1;
                     let request = cfg.shape.next_request(&mut rng);
-                    let submitted = Instant::now();
-                    let response = match server.submit(request.clone()) {
+                    // Admitting and reading the counters under the
+                    // timeline lock makes each timeline point the exact
+                    // cumulative hit rate after a multiple of
+                    // `timeline_step` admissions, whatever the clients'
+                    // interleaving.
+                    let (submitted, ticket) = {
+                        let mut timeline = timeline.lock().expect("stress timeline lock");
+                        let submitted = Instant::now();
+                        let ticket = server.submit(request.clone());
+                        let stats = server.stats();
+                        let admissions = stats.session_hits + stats.session_misses;
+                        if ticket.is_ok() && admissions % timeline_step == 0 {
+                            timeline.push(stats.session_hits as f64 / admissions as f64);
+                        }
+                        (submitted, ticket)
+                    };
+                    let response = match ticket {
                         Ok(ticket) => ticket.wait(),
                         Err(e) => Err(e),
                     };
@@ -514,28 +537,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
                     .lock()
                     .expect("stress sample lock")
                     .extend(local_samples);
-                finished.fetch_add(1, Ordering::SeqCst);
             });
-        }
-        // The main thread samples the cumulative session-hit-rate timeline
-        // while the clients run.
-        let tick = cfg
-            .duration
-            .map(|d| d / 8)
-            .unwrap_or_else(|| Duration::from_millis(300));
-        loop {
-            std::thread::sleep(tick.min(Duration::from_secs(1)));
-            let stats = server.stats();
-            let admissions = stats.session_hits + stats.session_misses;
-            if admissions > 0 {
-                timeline
-                    .lock()
-                    .expect("stress timeline lock")
-                    .push(stats.session_hits as f64 / admissions as f64);
-            }
-            if finished.load(Ordering::SeqCst) == cfg.clients {
-                break;
-            }
         }
     });
     let wall_s = started.elapsed().as_secs_f64();
