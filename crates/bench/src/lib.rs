@@ -2237,15 +2237,15 @@ mod tests {
         assert!(!space.ram_sweep.is_empty());
         assert!(!space.time_sweep.is_empty());
         // Every sweep point solved (the sampled grids are all feasible).
-        // The first point has nothing to chain from; later points chain
-        // unless the bounded-regret guard fell back to a cold root, so at
-        // least some must have chained.
+        // The first point has nothing to chain from; later points chain.
         for (i, (_, s)) in space.ram_sweep.iter().enumerate() {
             assert!(!s.infeasible && s.error.is_none(), "ram point {i} failed");
             assert!(s.stats.is_some());
-            if i == 0 {
-                assert!(!s.chained, "the first point solves cold");
-            }
+            assert_eq!(
+                s.chained,
+                i > 0,
+                "ram point {i} chains unless it is the first"
+            );
         }
         for (_, s) in &space.time_sweep {
             assert!(s.point.is_some(), "time sweep points are feasible");

@@ -15,12 +15,14 @@
 //!   [`PlacementModel::set_budgets`] for every sweep point;
 //! * each point's root relaxation is **warm-started** from the previous
 //!   point's solved basis via the dual simplex
-//!   ([`BranchBound::solve_chained`]) — the same 3–13× per-node pivot saving
-//!   branch-and-bound already gets from parent-to-child warm starts, applied
-//!   *across* sweep points.  The solver's search-quality machinery
-//!   (best-bound node selection, cover cuts, presolve) composes with the
-//!   chain: cuts and presolve fixings are derived per point against the
-//!   current budgets and live on a solve-local problem copy, so the chained
+//!   ([`BranchBound::solve_chained`], which re-enters the root with
+//!   [`flashram_ilp::SimplexSolver::reenter`]) — the same 3–13× per-node
+//!   pivot saving branch-and-bound already gets from parent-to-child warm
+//!   starts, applied *across* sweep points, at every point after the
+//!   first.  The solver's fixed search policy (best-bound node selection,
+//!   cover cuts, presolve) composes with the chain: cuts and presolve
+//!   fixings are derived per point against the current budgets and live on
+//!   a solve-local problem copy, so the chained
 //!   root state the session carries always matches the session model's row
 //!   layout and the seeded incumbent prunes best-bound queue entries before
 //!   their LPs are ever solved;

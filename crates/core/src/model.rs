@@ -468,7 +468,7 @@ mod tests {
         // bounds and re-solved with the dual simplex — still no extra rows
         // and no artificial columns.
         let v = model.vars.values().next().expect("has blocks").in_ram;
-        let fixed = solver.resolve_with_fixings(&model.problem, &state, &[(v, 1.0)]);
+        let fixed = solver.resolve(&model.problem, state, &[(v, 1.0)]);
         let fstate = fixed.state.expect("fixed relaxation solves");
         assert_eq!(fstate.num_rows(), model.problem.num_constraints());
         assert_eq!(fstate.num_artificials(), 0);

@@ -51,7 +51,7 @@ pub struct LpState {
     pub(crate) d: Vec<f64>,
     /// The constraint right-hand sides this state was last solved against
     /// (one per row, in the problem's row order and original sign).  Kept so
-    /// [`crate::SimplexSolver::resolve_with_rhs`] can compute the deltas to a
+    /// [`crate::SimplexSolver::reenter`] can compute the deltas to a
     /// problem whose right-hand sides were mutated in place.
     pub(crate) rhs: Vec<f64>,
     /// Number of structural variables (columns `0..n`).
@@ -85,8 +85,7 @@ impl LpState {
     }
 
     /// The constraint right-hand sides this state was last solved against,
-    /// one per row.  After
-    /// [`resolve_with_rhs`](crate::SimplexSolver::resolve_with_rhs) this
+    /// one per row.  After [`reenter`](crate::SimplexSolver::reenter) this
     /// matches the problem's current right-hand sides.
     pub fn solved_rhs(&self) -> &[f64] {
         &self.rhs
@@ -122,8 +121,7 @@ impl LpState {
     /// Append constraint rows to a solved state, preserving every layout
     /// invariant the warm-start paths rely on — in particular that the slack
     /// of row `r` is column `n + r`, which
-    /// [`resolve_with_rhs`](crate::SimplexSolver::resolve_with_rhs) reads as
-    /// `B⁻¹·e_r`.
+    /// [`reenter`](crate::SimplexSolver::reenter) reads as `B⁻¹·e_r`.
     ///
     /// Each entry is `(structural coefficients, rhs, slack lower, slack
     /// upper)`.  The new slack columns are spliced in *before* the artificial

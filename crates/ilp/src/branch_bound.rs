@@ -1,16 +1,18 @@
 //! Branch-and-bound 0-1 ILP solver over the simplex relaxation.
 //!
 //! Branching fixes one fractional binary variable to 0 and to 1 in turn; the
-//! LP relaxation of each node provides the bound used for pruning.  Three
-//! search-quality mechanisms sit on top of the plain tree walk:
+//! LP relaxation of each node provides the bound used for pruning.  The
+//! search follows one fixed policy built from three mechanisms; turning off
+//! best-bound order, presolve or cover cuts each made the placement
+//! searches measurably worse (see `docs/ARCHITECTURE.md`, "Why this search
+//! policy"), so none of them is optional:
 //!
-//! * **Node selection** ([`NodeSelection`]): by default the open list is a
-//!   priority queue ordered by the parent's LP bound (*best-bound* search),
-//!   combined with a **plunging** dive — after branching, the child on the
-//!   rounded side is explored immediately, depth-first, so integer
-//!   incumbents appear as early as under DFS and the frontier stays small;
-//!   only the "far" children enter the queue.  Best-bound order expands the
-//!   node that could still beat the incumbent by the most, which on the
+//! * **Best-bound node selection with plunging**: the open list is a
+//!   priority queue ordered by the parent's LP bound, and after branching
+//!   the child on the rounded side is explored immediately, depth-first, so
+//!   integer incumbents appear early and the frontier stays small; only the
+//!   "far" children enter the queue.  Best-bound order expands the node
+//!   that could still beat the incumbent by the most, which on the
 //!   degenerate placement trees prunes far more than LIFO order does.
 //!   Nodes are re-checked against the incumbent when popped, so stale queue
 //!   entries cost nothing but their memory.
@@ -23,12 +25,12 @@
 //! * **Cover cuts and presolve** (the `cuts` module): the placement model's
 //!   budget rows are knapsacks, so before the tree starts a presolve pass
 //!   fixes trivially flash-/RAM-resident blocks and tightens coefficients,
-//!   and at the root (and optionally shallow nodes) violated lifted cover
-//!   inequalities are appended as rows.  Cuts and tightened rows go to a
-//!   **solve-local copy** of the problem — the caller's problem, its row
-//!   indices, and the pre-cut root state used for sweep chaining are never
-//!   disturbed — and states snapshotted before a cut existed are upgraded
-//!   via [`crate::SimplexSolver::resolve_appended_owned`] when expanded.
+//!   and at the root and shallow nodes violated lifted cover inequalities
+//!   are appended as rows.  Cuts and tightened rows go to a **solve-local
+//!   copy** of the problem — the caller's problem, its row indices, and the
+//!   pre-cut root state used for sweep chaining are never disturbed — and
+//!   states snapshotted before a cut existed are upgraded by
+//!   [`crate::SimplexSolver::resolve`], which appends the missing rows.
 //!
 //! Child relaxations are **warm-started**: a branch fixing only tightens one
 //! variable's bounds, which leaves the parent's optimal basis dual feasible,
@@ -45,7 +47,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::basis::LpState;
-use crate::cuts::{self, PresolveResult};
+use crate::cuts;
 use crate::expr::{LinearExpr, Var};
 use crate::problem::{Cmp, Problem, Sense, Solution, SolveError};
 use crate::simplex::{SimplexOutcome, SimplexSolver};
@@ -72,14 +74,10 @@ pub struct BranchBoundStats {
     /// Pivots the **root** relaxation alone took (a cold two-phase solve,
     /// or a dual-simplex re-entry for chained sweeps — see
     /// [`BranchBound::solve_chained`]).  Cut-plane re-solves at the root are
-    /// *not* counted here (see [`cut_pivots`](BranchBoundStats::cut_pivots));
-    /// after a chain abort and fallback, this is the pivot count of the
-    /// final (cold) root only.
+    /// *not* counted here (see [`cut_pivots`](BranchBoundStats::cut_pivots)).
     pub root_pivots: usize,
-    /// Whether the search started from a feasible incumbent seeded **by the
-    /// caller** (see [`BranchBound::solve_chained`]).  An abort/fallback
-    /// retry re-seeded from the aborted attempt's own incumbent does not
-    /// set this.
+    /// Whether the search started from a feasible incumbent seeded by the
+    /// caller (see [`BranchBound::solve_chained`]).
     pub seeded: bool,
     /// Nodes solved cold (two-phase solve from scratch).
     pub cold_solves: usize,
@@ -97,8 +95,7 @@ pub struct BranchBoundStats {
     pub cuts_added: usize,
     /// Variables fixed by the presolve pass before the tree started.
     pub presolve_fixed: usize,
-    /// Wall-clock time of the solve in milliseconds.  After an abort and
-    /// fallback this covers **both** attempts.
+    /// Wall-clock time of the solve in milliseconds.
     pub wall_ms: f64,
     /// Whether the solve was cut short by [`BranchBound::time_limit`].  The
     /// returned solution (if any) is then the best incumbent, not
@@ -134,19 +131,6 @@ pub struct ChainedSolve {
     pub chained: bool,
 }
 
-/// How the open list orders nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeSelection {
-    /// Priority queue on the parent LP bound: always expand the open node
-    /// whose bound leaves the most room to beat the incumbent.  Combined
-    /// with the plunging dive this is the default.
-    BestBound,
-    /// LIFO stack (classic DFS).  With the dive always taking the rounded
-    /// child first, this reproduces the pre-best-bound search order exactly;
-    /// kept for benchmarking and differential tests.
-    DepthFirst,
-}
-
 /// A 0-1 ILP solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BranchBound {
@@ -157,37 +141,9 @@ pub struct BranchBound {
     /// Integrality tolerance.
     pub tolerance: f64,
     /// Warm-start child nodes with the dual simplex from the parent basis
-    /// (on by default; disable to benchmark against cold solves).
+    /// (on by default; disable for the cold reference path that tests and
+    /// the solver benchmark compare against).
     pub warm_start: bool,
-    /// Bounded-regret guard for chained solves
-    /// ([`BranchBound::solve_chained`]): when a *chained* root's search tree
-    /// exceeds this many nodes, the attempt is abandoned and the point
-    /// re-solved from a cold root (the seed is kept).  The placement models
-    /// are degenerate enough that alternate optimal root vertices can
-    /// partition the space very differently; this caps how much an unlucky
-    /// chained vertex can cost over the cold solve, while small trees —
-    /// where chaining pays — keep the full saving.  The effective cap is
-    /// `min(chain_fallback_nodes, max_nodes)`, so node-budget exhaustion
-    /// under a chained root always gets its cold restart; `usize::MAX`
-    /// disables the guard entirely (a chained tree may then exhaust
-    /// `max_nodes` without a cold retry).  Plain (non-chained) solves never
-    /// use it.
-    pub chain_fallback_nodes: usize,
-    /// Node selection strategy (default [`NodeSelection::BestBound`]).
-    pub node_selection: NodeSelection,
-    /// Separate and append lifted cover cuts from knapsack rows (default
-    /// on).
-    pub cuts: bool,
-    /// Maximum node depth at which cut separation still runs (the root is
-    /// depth 0; cuts stay global, so deeper separation only trades LP size
-    /// for bound quality).
-    pub cut_depth: usize,
-    /// Ceiling on the number of rows the cut machinery may append per solve
-    /// (cover cuts plus tightened knapsack copies).
-    pub max_cuts: usize,
-    /// Run the knapsack presolve pass (variable fixing + coefficient
-    /// tightening) before the search (default on).
-    pub presolve: bool,
     /// Wall-clock budget for one solve, checked before every node
     /// expansion.  When it expires the search stops and returns the best
     /// incumbent with [`BranchBoundStats::time_limit_hit`] set (or
@@ -205,24 +161,9 @@ impl Default for BranchBound {
             max_nodes: 20_000,
             tolerance: 1e-6,
             warm_start: true,
-            chain_fallback_nodes: 512,
-            node_selection: NodeSelection::BestBound,
-            cuts: true,
-            cut_depth: 2,
-            max_cuts: 24,
-            presolve: true,
             time_limit: None,
         }
     }
-}
-
-/// What one [`BranchBound::solve_inner`] pass concluded: a finished solve,
-/// or a chained attempt abandoned at its node cap (the bounded-regret
-/// guard), carrying the effort spent *and the best incumbent found* so the
-/// retry can account for the first and be seeded by the second.
-enum InnerOutcome {
-    Done(Box<ChainedSolve>),
-    ChainAborted(BranchBoundStats, Option<Solution>),
 }
 
 /// The branching step that created a node, kept for pseudo-cost updates.
@@ -282,28 +223,6 @@ impl Ord for OpenNode {
     }
 }
 
-/// The open list: a LIFO stack or a best-bound priority queue.
-enum OpenList {
-    Dfs(Vec<Node>),
-    Best(BinaryHeap<OpenNode>),
-}
-
-impl OpenList {
-    fn push(&mut self, node: Node, key: f64, seq: u64) {
-        match self {
-            OpenList::Dfs(stack) => stack.push(node),
-            OpenList::Best(heap) => heap.push(OpenNode { key, seq, node }),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Node> {
-        match self {
-            OpenList::Dfs(stack) => stack.pop(),
-            OpenList::Best(heap) => heap.pop().map(|e| e.node),
-        }
-    }
-}
-
 /// Per-variable pseudo-costs: running `(sum, count)` of LP-bound degradation
 /// per unit of bound movement, one pair per direction, seeded from the
 /// objective coefficients.
@@ -357,29 +276,19 @@ const COVER_VIOLATION_THRESHOLD: f64 = 1e-4;
 /// Ceiling on separate-and-resolve rounds per node.
 const MAX_CUT_ROUNDS: usize = 8;
 
+/// Maximum node depth at which cut separation still runs (the root is depth
+/// 0; cuts stay global, so deeper separation only trades LP size for bound
+/// quality).
+const CUT_DEPTH: usize = 2;
+
+/// Ceiling on the number of rows the cut machinery may append per solve
+/// (cover cuts plus tightened knapsack copies).
+const MAX_CUTS: usize = 24;
+
 /// Approximate heap footprint of one [`LpState`] snapshot.
 fn state_bytes(state: &LpState) -> usize {
     let (rows, cols) = (state.num_rows(), state.num_cols());
     8 * (rows * cols + 2 * rows + 4 * cols)
-}
-
-/// Fold the effort of an abandoned chained attempt into the retry's stats
-/// (additive counters only — `root_pivots` stays the final root's count and
-/// `seeded` is handled by the caller).
-fn merge_aborted_attempt(stats: &mut BranchBoundStats, aborted: &BranchBoundStats) {
-    stats.nodes_explored += aborted.nodes_explored;
-    stats.nodes_pruned += aborted.nodes_pruned;
-    stats.lp_pivots += aborted.lp_pivots;
-    stats.lp_iteration_limited += aborted.lp_iteration_limited;
-    stats.cold_solves += aborted.cold_solves;
-    stats.cold_pivots += aborted.cold_pivots;
-    stats.warm_solves += aborted.warm_solves;
-    stats.warm_pivots += aborted.warm_pivots;
-    stats.cut_pivots += aborted.cut_pivots;
-    stats.cuts_added += aborted.cuts_added;
-    stats.wall_ms += aborted.wall_ms;
-    stats.time_limit_hit |= aborted.time_limit_hit;
-    stats.injected |= aborted.injected;
 }
 
 fn is_integral(solution: &Solution, binaries: &[Var], tol: f64) -> bool {
@@ -417,11 +326,9 @@ impl BranchBound {
         &self,
         problem: &Problem,
     ) -> Result<(Solution, BranchBoundStats), SolveError> {
-        match self.solve_inner(problem, None, None, false, None) {
-            Ok(InnerOutcome::Done(run)) => Ok((run.solution, run.stats)),
-            Ok(InnerOutcome::ChainAborted(..)) => unreachable!("an uncapped solve cannot abort"),
-            Err((e, _)) => Err(e),
-        }
+        self.solve_inner(problem, None, None, false)
+            .map(|run| (run.solution, run.stats))
+            .map_err(|(e, _)| e)
     }
 
     /// Solve as part of a **sweep chain**: when `warm_root` is the root
@@ -474,9 +381,8 @@ impl BranchBound {
     /// # Errors
     ///
     /// See [`BranchBound::solve_chained`]; every error carries the stats of
-    /// the work done up to the failure (for a chained attempt that aborted
-    /// and failed on the cold retry, the stats cover both attempts).  The
-    /// stats ride boxed so the error variant stays pointer-sized.
+    /// the work done up to the failure.  The stats ride boxed so the error
+    /// variant stays pointer-sized.
     pub fn solve_chained_stats(
         &self,
         problem: &Problem,
@@ -506,76 +412,19 @@ impl BranchBound {
                 ));
             }
         }
-        if self.warm_start && warm_root.is_some() {
-            match self.solve_inner(problem, warm_root, seed, true, self.chain_cap())? {
-                InnerOutcome::Done(run) => return Ok(*run),
-                InnerOutcome::ChainAborted(aborted, aborted_incumbent) => {
-                    // The chained vertex partitioned the space badly; pay
-                    // the bounded abort cost and re-solve from a cold root.
-                    // The retry is seeded with the better of the caller's
-                    // seed and whatever incumbent the aborted attempt found.
-                    let retry_seed: Option<&Solution> = match (&aborted_incumbent, seed) {
-                        (Some(inc), Some(s)) => {
-                            Some(if problem.is_better(inc.objective, s.objective) {
-                                inc
-                            } else {
-                                s
-                            })
-                        }
-                        (Some(inc), None) => Some(inc),
-                        (None, s) => s,
-                    };
-                    // The wasted effort stays in the stats — pivot
-                    // accounting must cover the failed attempt too, on the
-                    // error path as much as on success.  The aborted root's
-                    // pivots are already inside lp/warm pivots;
-                    // `root_pivots` stays the *final* root's count (the
-                    // retry recorded it), and `seeded` reports the caller's
-                    // seed, not the internal re-seed.
-                    let mut run = match self.solve_inner(problem, None, retry_seed, true, None) {
-                        Ok(InnerOutcome::Done(run)) => run,
-                        Ok(InnerOutcome::ChainAborted(..)) => {
-                            unreachable!("an uncapped solve cannot abort")
-                        }
-                        Err((e, mut stats)) => {
-                            merge_aborted_attempt(&mut stats, &aborted);
-                            stats.seeded = aborted.seeded;
-                            return Err((e, stats));
-                        }
-                    };
-                    merge_aborted_attempt(&mut run.stats, &aborted);
-                    run.stats.seeded = aborted.seeded;
-                    return Ok(*run);
-                }
-            }
-        }
-        match self.solve_inner(problem, warm_root, seed, true, None)? {
-            InnerOutcome::Done(run) => Ok(*run),
-            InnerOutcome::ChainAborted(..) => unreachable!("an uncapped solve cannot abort"),
-        }
-    }
-
-    /// The effective bounded-regret cap for a chained attempt: clamped to
-    /// `max_nodes` so a chained tree can never silently eat the whole node
-    /// budget without its cold restart; `usize::MAX` disables the guard.
-    fn chain_cap(&self) -> Option<usize> {
-        (self.chain_fallback_nodes != usize::MAX)
-            .then(|| self.chain_fallback_nodes.min(self.max_nodes))
+        self.solve_inner(problem, warm_root, seed, true)
     }
 
     /// The shared search loop.  `capture_root` keeps a clone of the solved
     /// root relaxation state for sweep chaining (skipped for the plain
-    /// entry points, which have no use for it); `chain_cap` aborts the
-    /// search once that many nodes were explored (the bounded-regret guard
-    /// of [`BranchBound::solve_chained`]).
+    /// entry points, which have no use for it).
     fn solve_inner(
         &self,
         problem: &Problem,
         warm_root: Option<&LpState>,
         seed: Option<&Solution>,
         capture_root: bool,
-        chain_cap: Option<usize>,
-    ) -> Result<InnerOutcome, (SolveError, Box<BranchBoundStats>)> {
+    ) -> Result<ChainedSolve, (SolveError, Box<BranchBoundStats>)> {
         let started = Instant::now();
         problem.check().map_err(|e| (e, Box::default()))?;
         let mut stats = BranchBoundStats::default();
@@ -596,31 +445,20 @@ impl BranchBound {
         // separation will scan.  Everything derived here is valid only at
         // the problem's *current* right-hand sides, which is fine — it lives
         // and dies with this solve.
-        let knap = if self.presolve || self.cuts {
-            cuts::knapsack_rows(problem, self.tolerance)
-        } else {
-            Vec::new()
-        };
-        let pre = if self.presolve {
-            cuts::presolve(problem, &knap, self.tolerance)
-        } else {
-            PresolveResult::default()
-        };
+        let knap = cuts::knapsack_rows(problem, self.tolerance);
+        let pre = cuts::presolve(problem, &knap, self.tolerance);
         if pre.infeasible {
             return Err(fail(stats, SolveError::Infeasible));
         }
         stats.presolve_fixed = pre.num_fixed();
-        let sep_sources: Vec<(Vec<(Var, f64)>, f64)> = if self.cuts {
-            knap.iter()
-                .map(|r| {
-                    let rhs = problem.rhs(r.row).unwrap_or(f64::INFINITY);
-                    (r.terms.clone(), rhs)
-                })
-                .chain(pre.tightened.iter().map(|(e, b)| (e.terms().collect(), *b)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let sep_sources: Vec<(Vec<(Var, f64)>, f64)> = knap
+            .iter()
+            .map(|r| {
+                let rhs = problem.rhs(r.row).unwrap_or(f64::INFINITY);
+                (r.terms.clone(), rhs)
+            })
+            .chain(pre.tightened.iter().map(|(e, b)| (e.terms().collect(), *b)))
+            .collect();
         let mut seen_cuts: BTreeSet<(Vec<usize>, usize)> = BTreeSet::new();
         // Cuts and tightened rows are appended to this lazily created copy;
         // the caller's problem keeps its row layout for RHS chaining.
@@ -641,10 +479,7 @@ impl BranchBound {
         stats.seeded = incumbent.is_some();
 
         let mut pc = PseudoCosts::seeded(problem);
-        let mut open = match self.node_selection {
-            NodeSelection::DepthFirst => OpenList::Dfs(Vec::new()),
-            NodeSelection::BestBound => OpenList::Best(BinaryHeap::new()),
-        };
+        let mut open: BinaryHeap<OpenNode> = BinaryHeap::new();
         let mut seq = 0u64;
         // The dive slot: the rounded-side child explored immediately after
         // its parent (plunging).  The root starts here.
@@ -660,7 +495,7 @@ impl BranchBound {
         // is shared by the two sibling entries), to bound retained memory.
         let mut retained_entries = 0usize;
 
-        while let Some(mut node) = dive.take().or_else(|| open.pop()) {
+        while let Some(mut node) = dive.take().or_else(|| open.pop().map(|e| e.node)) {
             if node.parent_state.is_some() {
                 retained_entries -= 1;
             }
@@ -687,12 +522,6 @@ impl BranchBound {
                     break;
                 }
             }
-            if let Some(cap) = chain_cap {
-                if stats.nodes_explored >= cap {
-                    stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                    return Ok(InnerOutcome::ChainAborted(stats, incumbent));
-                }
-            }
             if stats.nodes_explored >= self.max_nodes {
                 stats.budget_exhausted = true;
                 break;
@@ -712,7 +541,7 @@ impl BranchBound {
                 // captured state stays chainable.
                 let warm_root = warm_root.expect("chained implies a warm root");
                 stats.warm_solves += 1;
-                let r = self.lp.reenter(problem, warm_root, &node.fixings);
+                let r = self.lp.reenter(problem, warm_root.clone(), &node.fixings);
                 stats.warm_pivots += r.pivots;
                 r
             } else {
@@ -729,11 +558,7 @@ impl BranchBound {
                         let last = *node.fixings.last().expect("warm node has a fixing");
                         let state = Rc::try_unwrap(state).unwrap_or_else(|rc| (*rc).clone());
                         stats.warm_solves += 1;
-                        let r = if state.num_rows() < cur.num_constraints() {
-                            self.lp.resolve_appended_owned(cur, state, &[last])
-                        } else {
-                            self.lp.resolve_owned(cur, state, &[last])
-                        };
+                        let r = self.lp.resolve(cur, state, &[last]);
                         stats.warm_pivots += r.pivots;
                         r
                     }
@@ -794,22 +619,17 @@ impl BranchBound {
             // solve-local problem and dual-repair the node state over the
             // new rows.  Cuts are globally valid at these budgets, so they
             // strengthen every later node too.
-            if node.depth <= self.cut_depth
-                && (self.cuts || (self.presolve && node.depth == 0))
-                && state.is_some()
-            {
+            if node.depth <= CUT_DEPTH && state.is_some() {
                 let mut subtree_done = false;
                 for _ in 0..MAX_CUT_ROUNDS {
                     if is_integral(&relaxed, &binaries, self.tolerance) {
                         break;
                     }
-                    let append_tightened = node.depth == 0
-                        && self.presolve
-                        && !tightened_appended
-                        && !pre.tightened.is_empty();
+                    let append_tightened =
+                        node.depth == 0 && !tightened_appended && !pre.tightened.is_empty();
                     let mut fresh: Vec<(Vec<Var>, f64)> = Vec::new();
-                    if self.cuts && stats.cuts_added < self.max_cuts {
-                        let budget = self.max_cuts - stats.cuts_added;
+                    if stats.cuts_added < MAX_CUTS {
+                        let budget = MAX_CUTS - stats.cuts_added;
                         for (terms, rhs) in &sep_sources {
                             if fresh.len() >= budget {
                                 break;
@@ -850,7 +670,7 @@ impl BranchBound {
                         stats.cuts_added += 1;
                     }
                     let st = state.take().expect("cut loop requires a state");
-                    let r = self.lp.resolve_appended_owned(w, st, &[]);
+                    let r = self.lp.resolve(w, st, &[]);
                     stats.cut_pivots += r.pivots;
                     stats.lp_pivots += r.pivots;
                     match r.outcome {
@@ -950,8 +770,10 @@ impl BranchBound {
                     let mut far = node.fixings.clone();
                     far.push((v, other));
                     seq += 1;
-                    open.push(
-                        Node {
+                    open.push(OpenNode {
+                        key: key_sign * bound,
+                        seq,
+                        node: Node {
                             fixings: far,
                             parent_state: state.clone(),
                             bound,
@@ -962,9 +784,7 @@ impl BranchBound {
                                 up: other > 0.5,
                             }),
                         },
-                        key_sign * bound,
-                        seq,
-                    );
+                    });
                     let mut near = node.fixings;
                     near.push((v, rounded));
                     dive = Some(Node {
@@ -984,12 +804,12 @@ impl BranchBound {
 
         stats.wall_ms = started.elapsed().as_secs_f64() * 1e3;
         match incumbent {
-            Some(solution) => Ok(InnerOutcome::Done(Box::new(ChainedSolve {
+            Some(solution) => Ok(ChainedSolve {
                 solution,
                 stats,
                 root_state,
                 chained,
-            }))),
+            }),
             None if stats.budget_exhausted
                 || stats.lp_iteration_limited > 0
                 || stats.time_limit_hit =>
@@ -1444,19 +1264,6 @@ mod tests {
     }
 
     #[test]
-    fn best_bound_and_depth_first_agree_on_the_optimum() {
-        let p = branching_instance();
-        let best = BranchBound::new();
-        let dfs = BranchBound {
-            node_selection: NodeSelection::DepthFirst,
-            ..BranchBound::default()
-        };
-        let a = best.solve(&p).unwrap();
-        let b = dfs.solve(&p).unwrap();
-        assert_close(a.objective, b.objective);
-    }
-
-    #[test]
     fn presolve_fixes_are_reported_and_do_not_change_the_optimum() {
         // The 30-weight item overflows the budget alone: presolve fixes it
         // to 0 before the tree starts.
@@ -1473,97 +1280,31 @@ mod tests {
             xs.iter().copied().zip(values.iter().copied()),
         ));
         let (sol, stats) = BranchBound::new().solve_with_stats(&p).unwrap();
-        let plain = BranchBound {
-            presolve: false,
-            cuts: false,
-            ..BranchBound::default()
-        };
-        let bare = plain.solve(&p).unwrap();
-        assert_close(sol.objective, bare.objective);
+        let exact = crate::ExhaustiveSolver::new().solve(&p).unwrap();
+        assert_close(sol.objective, exact.objective);
         assert!(!sol.is_set(xs[0]));
         assert!(stats.presolve_fixed >= 1, "the overflow fixing is reported");
-    }
-
-    #[test]
-    fn chain_cap_clamps_to_the_node_budget() {
-        // Regression: a fallback threshold at or above max_nodes used to
-        // disable the bounded-regret guard entirely, so a bad chained root
-        // could silently eat the whole node budget with no cold restart.
-        let clamped = BranchBound {
-            chain_fallback_nodes: 512,
-            max_nodes: 100,
-            ..BranchBound::default()
-        };
-        assert_eq!(clamped.chain_cap(), Some(100));
-        let normal = BranchBound {
-            chain_fallback_nodes: 512,
-            max_nodes: 20_000,
-            ..BranchBound::default()
-        };
-        assert_eq!(normal.chain_cap(), Some(512));
-        let disabled = BranchBound {
-            chain_fallback_nodes: usize::MAX,
-            max_nodes: 100,
-            ..BranchBound::default()
-        };
-        assert_eq!(disabled.chain_cap(), None);
-    }
-
-    #[test]
-    fn aborted_chain_fallback_reports_only_the_final_root_pivots() {
-        // Regression: the fallback used to *add* the aborted attempt's root
-        // pivots onto the retry's, so root_pivots described no real root.
-        // Cuts and presolve are off so the fractional root guarantees the
-        // tree needs a second node and the cap of 1 forces the abort.
-        let mut p = branching_instance();
-        let solver = BranchBound {
-            chain_fallback_nodes: 1,
-            cuts: false,
-            presolve: false,
-            ..BranchBound::default()
-        };
-        let first = solver.solve_chained(&p, None, None).unwrap();
-        let root = first.root_state.expect("root state");
-        p.set_rhs(0, 12.0).unwrap();
-        let chained = solver.solve_chained(&p, Some(&root), None).unwrap();
-        let plain = solver.solve_chained(&p, None, None).unwrap();
-        assert_close(chained.solution.objective, plain.solution.objective);
-        assert_eq!(
-            chained.stats.root_pivots, plain.stats.root_pivots,
-            "root_pivots must be the final (cold) root's count alone"
-        );
-        assert!(
-            chained.stats.nodes_explored > plain.stats.nodes_explored,
-            "the aborted attempt's nodes still count toward the totals"
-        );
     }
 
     #[test]
     fn fallback_preserves_the_callers_seeding_and_reports_wall_time() {
         let mut p = branching_instance();
         p.set_rhs(0, 12.0).unwrap();
-        let solver = BranchBound {
-            chain_fallback_nodes: 3,
-            cuts: false,
-            presolve: false,
-            ..BranchBound::default()
-        };
+        let solver = BranchBound::new();
         let first = solver.solve_chained(&p, None, None).unwrap();
         let root = first.root_state.clone().expect("root state");
         let seed = first.solution.clone();
-        // Relaxing 12 → 17 keeps the seed feasible; with a cap of 3 the
-        // chained attempt may abort and retry, and the retry internally
-        // re-seeds itself from the aborted incumbent — but `seeded` must
-        // keep reporting the *caller's* seed either way.
+        // Relaxing 12 → 17 keeps the seed feasible: a chained solve reports
+        // the caller's seed as `seeded`, an unseeded one does not, and both
+        // report their wall time.
         p.set_rhs(0, 17.0).unwrap();
         let seeded = solver.solve_chained(&p, Some(&root), Some(&seed)).unwrap();
-        assert!(seeded.stats.seeded, "the caller's seed survives a fallback");
+        assert!(seeded.chained);
+        assert!(seeded.stats.seeded, "the caller's seed is reported");
         assert!(seeded.stats.wall_ms > 0.0);
         let unseeded = solver.solve_chained(&p, Some(&root), None).unwrap();
-        assert!(
-            !unseeded.stats.seeded,
-            "an internal re-seed must not report as caller-seeded"
-        );
+        assert!(unseeded.chained);
+        assert!(!unseeded.stats.seeded, "no seed, nothing seeded");
         assert!(unseeded.stats.wall_ms > 0.0);
     }
 }

@@ -30,7 +30,8 @@
 //! the branch-and-bound applies them to a solve-local copy of the problem
 //! and re-derives them at every sweep point — the caller's [`Problem`] and
 //! its row indices are never disturbed, which is what keeps
-//! `set_rhs`/`resolve_with_rhs` chaining working across sweep points.
+//! `set_rhs`/[`reenter`](crate::SimplexSolver::reenter) chaining working
+//! across sweep points.
 
 use crate::expr::{LinearExpr, Var};
 use crate::problem::{Cmp, Problem, Sense, VarKind};
@@ -343,6 +344,7 @@ pub(crate) fn separate_cover(
 mod tests {
     use super::*;
     use crate::problem::{Problem, Sense};
+    use proptest::prelude::*;
 
     fn knapsack_problem() -> (Problem, Vec<Var>) {
         let mut p = Problem::new(Sense::Maximize);
@@ -455,35 +457,93 @@ mod tests {
         assert!((rhs - 2.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn tightened_rows_keep_all_integer_points() {
-        // Exhaustively confirm integer-equivalence on a batch-tightened row.
+    /// A one-row knapsack `Σ w_j·x_j ≤ cap_frac·Σ w_j` over binaries.
+    fn random_knapsack(weights: &[u16], cap_frac: f64) -> (Problem, Vec<f64>, f64) {
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<Var> = (0..3).map(|i| p.add_binary(format!("v{i}"))).collect();
-        // δ only triggers for items whose *complement* fits under the
-        // budget: here 4 + 3 = 7 < 9, so the 7-item tightens to 5 and the
-        // rhs drops to 7.
-        let coeffs = [7.0, 4.0, 3.0];
-        let rhs = 9.0;
+        let vars: Vec<Var> = (0..weights.len())
+            .map(|i| p.add_binary(format!("v{i}")))
+            .collect();
+        let coeffs: Vec<f64> = weights.iter().map(|&w| f64::from(w)).collect();
+        let rhs = cap_frac * coeffs.iter().sum::<f64>();
         p.add_constraint(
-            LinearExpr::from_terms(vars.iter().copied().zip(coeffs)),
+            LinearExpr::from_terms(vars.iter().copied().zip(coeffs.iter().copied())),
             Cmp::Le,
             rhs,
         );
         p.set_objective(LinearExpr::from_terms(vars.iter().map(|&v| (v, 1.0))));
-        let knap = knapsack_rows(&p, 1e-9);
-        let pre = presolve(&p, &knap, 1e-9);
-        assert_eq!(pre.tightened.len(), 1);
-        let (expr, new_rhs) = &pre.tightened[0];
-        for bits in 0..8u32 {
-            let values: Vec<f64> = (0..3).map(|i| f64::from((bits >> i) & 1)).collect();
-            let original: f64 = coeffs.iter().zip(&values).map(|(a, x)| a * x).sum();
-            let tightened = expr.evaluate(&values);
-            assert_eq!(
-                original <= rhs + 1e-9,
-                tightened <= new_rhs + 1e-9,
-                "integer point {values:?} classified differently"
+        (p, coeffs, rhs)
+    }
+
+    /// Every 0-1 point over `n` variables.
+    fn all_points(n: usize) -> impl Iterator<Item = Vec<f64>> {
+        (0..1u32 << n).map(move |bits| (0..n).map(|i| f64::from((bits >> i) & 1)).collect())
+    }
+
+    fn satisfies(coeffs: &[f64], rhs: f64, x: &[f64]) -> bool {
+        coeffs.iter().zip(x).map(|(a, v)| a * v).sum::<f64>() <= rhs + 1e-9
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tightened_rows_keep_all_integer_points(
+            weights in prop::collection::vec(1u16..50, 2..=10),
+            cap_frac in 0.05f64..1.0,
+        ) {
+            // A tightened row holds at every 0-1 point the original row
+            // admits, and — among points that respect the presolve fixings
+            // — admits no other.
+            let (p, coeffs, rhs) = random_knapsack(&weights, cap_frac);
+            let pre = presolve(&p, &knapsack_rows(&p, 1e-9), 1e-9);
+            for x in all_points(coeffs.len()) {
+                let original = satisfies(&coeffs, rhs, &x);
+                let respects_fixings = pre.fixings.iter().all(|&(v, val)| x[v.index()] == val);
+                for (expr, b) in &pre.tightened {
+                    let tightened = expr.evaluate(&x) <= b + 1e-9;
+                    if original {
+                        prop_assert!(tightened, "{expr:?} <= {b} cuts off integer point {x:?}");
+                    } else if respects_fixings {
+                        prop_assert!(!tightened, "{expr:?} <= {b} admits infeasible {x:?}");
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn cover_cuts_keep_all_integer_points(
+            weights in prop::collection::vec(1u16..50, 2..=10),
+            cap_frac in 0.05f64..1.0,
+            point in prop::collection::vec(
+                prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+                10,
+            ),
+        ) {
+            // Separate against the original row and every tightened copy,
+            // as the branch-and-bound cut loop does.
+            let (p, coeffs, rhs) = random_knapsack(&weights, cap_frac);
+            let knap = knapsack_rows(&p, 1e-9);
+            let pre = presolve(&p, &knap, 1e-9);
+            let sources = knap.iter().map(|r| (r.terms.clone(), rhs)).chain(
+                pre.tightened.iter().map(|(e, b)| (e.terms().collect::<Vec<_>>(), *b)),
             );
+            let feasible: Vec<Vec<f64>> = all_points(coeffs.len())
+                .filter(|x| satisfies(&coeffs, rhs, x))
+                .collect();
+            for (terms, b) in sources {
+                let Some((vars, cut_rhs)) = separate_cover(&terms, b, &point, 1e-4) else {
+                    continue;
+                };
+                let at_point: f64 = vars.iter().map(|v| point[v.index()]).sum();
+                prop_assert!(at_point > cut_rhs, "a separated cut is violated at the point");
+                for x in &feasible {
+                    let lhs: f64 = vars.iter().map(|v| x[v.index()]).sum();
+                    prop_assert!(
+                        lhs <= cut_rhs + 1e-9,
+                        "cover cut {vars:?} <= {cut_rhs} cuts off integer point {x:?}"
+                    );
+                }
+            }
         }
     }
 

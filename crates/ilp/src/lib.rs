@@ -8,10 +8,15 @@
 //! * a [`Problem`] builder for linear models over continuous and binary
 //!   variables ([`problem`]),
 //! * a dense **bounded-variable simplex** solver for the LP relaxation —
-//!   variable bounds live in the ratio test, not in extra rows ([`simplex`]),
-//! * a **branch-and-bound** 0-1 ILP solver built on top of it, which
-//!   warm-starts every child node with the dual simplex from the parent's
-//!   optimal basis ([`branch_bound`], [`basis`]),
+//!   variable bounds live in the ratio test, not in extra rows — with two
+//!   dual-simplex warm restarts: [`SimplexSolver::resolve`] after bound
+//!   fixings or appended rows, and [`SimplexSolver::reenter`] after
+//!   right-hand sides moved ([`simplex`]),
+//! * a **branch-and-bound** 0-1 ILP solver built on top of it, with one
+//!   fixed search policy (best-bound order with plunging, pseudo-cost
+//!   branching, knapsack presolve and cover cuts), which warm-starts every
+//!   child node with the dual simplex from the parent's optimal basis
+//!   ([`branch_bound`], [`basis`]),
 //! * an **exhaustive** enumerator for small instances, used both to validate
 //!   branch-and-bound in tests and to generate the full trade-off space of
 //!   Figure 6 ([`exhaustive`]), and
@@ -50,7 +55,7 @@ pub mod problem;
 pub mod simplex;
 
 pub use basis::{Basis, LpState};
-pub use branch_bound::{BranchBound, BranchBoundStats, ChainedSolve, NodeSelection};
+pub use branch_bound::{BranchBound, BranchBoundStats, ChainedSolve};
 pub use exhaustive::ExhaustiveSolver;
 pub use expr::{LinearExpr, Var};
 #[cfg(feature = "fault-injection")]

@@ -202,7 +202,7 @@ impl Problem {
     /// across sweep points, only the bound moves.  A solved
     /// [`LpState`](crate::basis::LpState) taken *before* the mutation can be re-solved
     /// against the new right-hand side with
-    /// [`SimplexSolver::resolve_with_rhs`](crate::SimplexSolver::resolve_with_rhs)
+    /// [`SimplexSolver::reenter`](crate::SimplexSolver::reenter)
     /// — an RHS change never disturbs the reduced costs, so the dual simplex
     /// repairs the old optimal basis in a handful of pivots.
     ///

@@ -15,13 +15,16 @@
 //! and resets whenever the objective moves, so a long phase 1 can never
 //! leave phase 2 stuck in slow Bland mode.
 //!
-//! Two entry points matter to callers:
+//! Three entry points matter to callers:
 //!
 //! * [`SimplexSolver::solve_tracked`] — a cold two-phase solve that returns
-//!   the optimal [`LpState`] alongside the solution, and
-//! * [`SimplexSolver::resolve_with_fixings`] — a **dual simplex** re-solve
-//!   from a previously solved state after tightening variable bounds, used
-//!   by branch-and-bound to warm-start child nodes.
+//!   the optimal [`LpState`] alongside the solution,
+//! * [`SimplexSolver::resolve`] — a **dual simplex** re-solve from a
+//!   previously solved state after tightening variable bounds or appending
+//!   rows, used by branch-and-bound to warm-start child nodes and cut
+//!   rounds, and
+//! * [`SimplexSolver::reenter`] — the same repair after right-hand sides
+//!   moved, used to chain root relaxations across frontier sweep points.
 
 use crate::basis::LpState;
 use crate::expr::Var;
@@ -190,38 +193,61 @@ impl SimplexSolver {
         self.solve_state(problem, state)
     }
 
-    /// Re-solve from a previously solved state after tightening bounds: each
-    /// `(var, value)` fixing sets `lower = upper = value`.  The parent's
-    /// reduced costs stay dual feasible under bound changes, so the **dual
+    /// Warm re-solve from a previously solved state after tightening bounds:
+    /// each `(var, value)` fixing sets `lower = upper = value`, and every
+    /// constraint the problem has beyond the state's rows is appended (see
+    /// `LpState::append_rows`).  Tightened bounds and appended rows both
+    /// leave the parent's reduced costs dual feasible, so the **dual
     /// simplex** restores primal feasibility from the parent basis — usually
     /// in a handful of pivots instead of a full cold solve.
-    pub fn resolve_with_fixings(
-        &self,
-        problem: &Problem,
-        parent: &LpState,
-        fixings: &[(Var, f64)],
-    ) -> LpResult {
-        self.resolve_owned(problem, parent.clone(), fixings)
-    }
-
-    /// Like [`SimplexSolver::resolve_with_fixings`], but consumes the state,
-    /// sparing the tableau copy when the caller is its last user (as
-    /// branch-and-bound is for the second child of every node).
-    pub fn resolve_owned(
-        &self,
-        problem: &Problem,
-        mut st: LpState,
-        fixings: &[(Var, f64)],
-    ) -> LpResult {
+    ///
+    /// Branch-and-bound warm-starts every child node through here, including
+    /// nodes snapshotted before a cutting plane was appended: each new row
+    /// enters with its slack basic and zero reduced cost.  A caller that
+    /// still needs its state afterwards passes a clone.
+    ///
+    /// A problem with a different variable count, or with fewer constraints
+    /// than the state has rows, is an [`SimplexOutcome::InvalidModel`]: rows
+    /// may only be appended.
+    pub fn resolve(&self, problem: &Problem, mut st: LpState, fixings: &[(Var, f64)]) -> LpResult {
+        if problem.num_vars() != st.n || problem.num_constraints() < st.num_rows() {
+            return LpResult::plain(
+                SimplexOutcome::InvalidModel(format!(
+                    "resolve: problem has {} vars × {} constraints but the state \
+                     was solved for {} × {} — rows may only be appended",
+                    problem.num_vars(),
+                    problem.num_constraints(),
+                    st.n,
+                    st.num_rows()
+                )),
+                0,
+            );
+        }
         if let Err(e) = self.apply_fixings(&mut st, fixings) {
             return *e;
         }
+        let missing: Vec<(Vec<f64>, f64, f64, f64)> = problem.constraints()[st.num_rows()..]
+            .iter()
+            .map(|c| {
+                let mut coeffs = vec![0.0; st.n];
+                for (v, k) in c.expr.terms() {
+                    coeffs[v.index()] += k;
+                }
+                let (slo, sup) = match c.op {
+                    Cmp::Le => (0.0, f64::INFINITY),
+                    Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                    Cmp::Eq => (0.0, 0.0),
+                };
+                (coeffs, c.rhs, slo, sup)
+            })
+            .collect();
+        st.append_rows(&missing);
         self.repair_and_extract(problem, st)
     }
 
     /// Tighten `(var, value)` fixings into a state's bounds, moving nonbasic
     /// variables onto their new degenerate bound (the basic values absorb
-    /// the shift).  Shared by every warm-restart entry point.
+    /// the shift).  Shared by both warm-restart entry points.
     fn apply_fixings(&self, st: &mut LpState, fixings: &[(Var, f64)]) -> Result<(), Box<LpResult>> {
         for (v, val) in fixings {
             let j = v.index();
@@ -256,35 +282,35 @@ impl SimplexSolver {
         Ok(())
     }
 
-    /// Re-enter a chained state whose *variable bounds* may be stale: reset
-    /// every structural column to its native bound from the problem, apply
-    /// the given fixings on top, absorb any right-hand-side deltas, and
-    /// dual-repair.
+    /// Re-enter a state of the **same problem structure** after its
+    /// constraint right-hand sides were mutated in place (see
+    /// [`crate::Problem::set_rhs`]) and its variable bounds may have gone
+    /// stale: reset every structural column to its native bound from the
+    /// problem, apply the given fixings on top, absorb the right-hand-side
+    /// deltas, and dual-repair.
     ///
     /// This is the frontier-chaining entry point.  A root state carried from
     /// one sweep point to the next may have been solved with presolve
     /// fixings that are **no longer valid** at the new budgets (a block that
     /// was trivially flash-resident can fit again after the budget relaxes),
-    /// so unlike [`SimplexSolver::resolve_with_rhs`] this resets the bound
-    /// state first instead of trusting it.  Nonbasic columns are moved to
-    /// the native bound nearest their current resting value, which keeps the
-    /// shift — and therefore the dual-repair work — minimal.
-    pub fn reenter(&self, problem: &Problem, parent: &LpState, fixings: &[(Var, f64)]) -> LpResult {
-        self.reenter_owned(problem, parent.clone(), fixings)
-    }
-
-    /// Like [`SimplexSolver::reenter`], but consumes the state.
-    pub fn reenter_owned(
-        &self,
-        problem: &Problem,
-        mut st: LpState,
-        fixings: &[(Var, f64)],
-    ) -> LpResult {
+    /// so the bound state is reset instead of trusted.  Nonbasic columns are
+    /// moved to the native bound nearest their current resting value, which
+    /// keeps the shift — and therefore the dual-repair work — minimal.
+    ///
+    /// An RHS change moves the basic variables by `B⁻¹·Δb` (read off the
+    /// slack columns of the tableau) and leaves the reduced costs untouched,
+    /// so — exactly as for bound tightenings — the old basis stays dual
+    /// feasible.  The deltas are computed against the right-hand sides
+    /// recorded in the state, so the caller only mutates the problem and
+    /// hands back the old state.  A problem whose variable or constraint
+    /// count differs from the state is an [`SimplexOutcome::InvalidModel`].
+    pub fn reenter(&self, problem: &Problem, mut st: LpState, fixings: &[(Var, f64)]) -> LpResult {
         if problem.num_vars() != st.n || problem.num_constraints() != st.num_rows() {
             return LpResult::plain(
                 SimplexOutcome::InvalidModel(format!(
                     "reenter: problem has {} vars × {} constraints but the state \
-                     was solved for {} × {}",
+                     was solved for {} × {} — only right-hand sides may change \
+                     between chained solves",
                     problem.num_vars(),
                     problem.num_constraints(),
                     st.n,
@@ -332,7 +358,6 @@ impl SimplexSolver {
         if let Err(e) = self.apply_fixings(&mut st, fixings) {
             return *e;
         }
-        // Absorb right-hand-side deltas exactly as resolve_with_rhs does.
         for (row, c) in problem.constraints().iter().enumerate() {
             let delta = c.rhs - st.rhs[row];
             if !delta.is_finite() {
@@ -345,125 +370,17 @@ impl SimplexSolver {
                 );
             }
             if delta != 0.0 {
+                // In the initial tableau the unit column of row `row` is its
+                // slack column (up to the build-time row sign, which cancels
+                // against the same sign on the right-hand side), so the
+                // current slack column *is* `B⁻¹·e_row` and the basic values
+                // shift by `delta` times it.
                 let slack = st.n + row;
                 for (xb, a_row) in st.xb.iter_mut().zip(&st.a) {
                     *xb += delta * a_row[slack];
                 }
                 st.rhs[row] = c.rhs;
             }
-        }
-        self.repair_and_extract(problem, st)
-    }
-
-    /// Warm re-solve from a state that predates rows appended to the
-    /// problem: apply the fixings, upgrade the state with the missing
-    /// trailing rows (see `LpState::append_rows`), and dual-repair.
-    ///
-    /// This is how branch-and-bound keeps warm-starting after cutting planes
-    /// are added mid-search: a node snapshotted before a cut existed is
-    /// expanded against the cut-augmented problem by appending the new rows
-    /// — each enters with its slack basic and zero reduced cost, so dual
-    /// feasibility survives and the dual simplex re-optimizes from the
-    /// parent basis instead of a cold two-phase solve.
-    pub fn resolve_appended_owned(
-        &self,
-        problem: &Problem,
-        mut st: LpState,
-        fixings: &[(Var, f64)],
-    ) -> LpResult {
-        if problem.num_vars() != st.n || problem.num_constraints() < st.num_rows() {
-            return LpResult::plain(
-                SimplexOutcome::InvalidModel(format!(
-                    "resolve_appended: problem has {} vars × {} constraints but the \
-                     state was solved for {} × {} — rows may only be appended",
-                    problem.num_vars(),
-                    problem.num_constraints(),
-                    st.n,
-                    st.num_rows()
-                )),
-                0,
-            );
-        }
-        if let Err(e) = self.apply_fixings(&mut st, fixings) {
-            return *e;
-        }
-        let missing: Vec<(Vec<f64>, f64, f64, f64)> = problem.constraints()[st.num_rows()..]
-            .iter()
-            .map(|c| {
-                let mut coeffs = vec![0.0; st.n];
-                for (v, k) in c.expr.terms() {
-                    coeffs[v.index()] += k;
-                }
-                let (slo, sup) = match c.op {
-                    Cmp::Le => (0.0, f64::INFINITY),
-                    Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-                    Cmp::Eq => (0.0, 0.0),
-                };
-                (coeffs, c.rhs, slo, sup)
-            })
-            .collect();
-        st.append_rows(&missing);
-        self.repair_and_extract(problem, st)
-    }
-
-    /// Re-solve from a previously solved state of the **same problem
-    /// structure** after its constraint right-hand sides were mutated in
-    /// place (see [`crate::Problem::set_rhs`]).  The deltas are computed
-    /// against the right-hand sides recorded in the state, so the caller
-    /// only mutates the problem and hands back the old state.
-    ///
-    /// An RHS change moves the basic variables by `B⁻¹·Δb` (read off the
-    /// slack columns of the tableau) and leaves the reduced costs untouched,
-    /// so — exactly as for bound tightenings — the parent basis stays dual
-    /// feasible and the **dual simplex** repairs primal feasibility in a few
-    /// pivots instead of a cold two-phase solve.  This is the re-entry path
-    /// the frontier sweeps chain: adjacent sweep points differ only in the
-    /// budget rows' right-hand sides.
-    pub fn resolve_with_rhs(&self, problem: &Problem, parent: &LpState) -> LpResult {
-        self.resolve_rhs_owned(problem, parent.clone())
-    }
-
-    /// Like [`SimplexSolver::resolve_with_rhs`], but consumes the state,
-    /// sparing the tableau copy when the caller is its last user.
-    pub fn resolve_rhs_owned(&self, problem: &Problem, mut st: LpState) -> LpResult {
-        if problem.num_vars() != st.n || problem.num_constraints() != st.num_rows() {
-            return LpResult::plain(
-                SimplexOutcome::InvalidModel(format!(
-                    "resolve_with_rhs: problem has {} vars × {} constraints but the \
-                     state was solved for {} × {} — only right-hand sides may change \
-                     between chained solves",
-                    problem.num_vars(),
-                    problem.num_constraints(),
-                    st.n,
-                    st.num_rows()
-                )),
-                0,
-            );
-        }
-        for (row, c) in problem.constraints().iter().enumerate() {
-            let delta = c.rhs - st.rhs[row];
-            if !delta.is_finite() {
-                return LpResult::plain(
-                    SimplexOutcome::InvalidModel(format!(
-                        "constraint {row} right-hand side {} is not finite",
-                        c.rhs
-                    )),
-                    0,
-                );
-            }
-            if delta == 0.0 {
-                continue;
-            }
-            // In the initial tableau the unit column of row `row` is its
-            // slack column (up to the build-time row sign, which cancels
-            // against the same sign on the right-hand side), so the current
-            // slack column *is* `B⁻¹·e_row` and the basic values shift by
-            // `delta` times it.
-            let slack = st.n + row;
-            for (xb, a_row) in st.xb.iter_mut().zip(&st.a) {
-                *xb += delta * a_row[slack];
-            }
-            st.rhs[row] = c.rhs;
         }
         self.repair_and_extract(problem, st)
     }
@@ -1270,7 +1187,7 @@ mod tests {
         let state = SimplexSolver::new().solve_tracked(&q, &[]).state.unwrap();
         assert!(matches!(
             SimplexSolver::new()
-                .resolve_with_fixings(&q, &state, &[(x, f64::NAN)])
+                .resolve(&q, state, &[(x, f64::NAN)])
                 .outcome,
             SimplexOutcome::InvalidModel(_)
         ));
@@ -1313,7 +1230,7 @@ mod tests {
         let state = root.state.expect("root optimal");
         for v in &xs {
             for val in [0.0, 1.0] {
-                let warm = solver.resolve_with_fixings(&p, &state, &[(*v, val)]);
+                let warm = solver.resolve(&p, state.clone(), &[(*v, val)]);
                 let cold = solver.solve_tracked(&p, &[(*v, val)]);
                 match (warm.outcome, cold.outcome) {
                     (SimplexOutcome::Optimal(w), SimplexOutcome::Optimal(c)) => {
@@ -1350,7 +1267,7 @@ mod tests {
         let mut fixings: Vec<(Var, f64)> = Vec::new();
         for (v, val) in [(xs[0], 1.0), (xs[2], 1.0), (xs[4], 0.0)] {
             fixings.push((v, val));
-            let warm = solver.resolve_with_fixings(&p, &state, &[(v, val)]);
+            let warm = solver.resolve(&p, state, &[(v, val)]);
             let cold = solver.solve_tracked(&p, &fixings);
             let w = warm.outcome.solution().expect("warm optimal");
             let c = cold.outcome.solution().expect("cold optimal");
@@ -1370,11 +1287,50 @@ mod tests {
         let solver = SimplexSolver::new();
         let root = solver.solve_tracked(&p, &[]);
         let state = root.state.expect("root optimal");
-        let step1 = solver.resolve_with_fixings(&p, &state, &[(x, 0.0)]);
+        let step1 = solver.resolve(&p, state, &[(x, 0.0)]);
         let s1 = step1.outcome.solution().expect("still feasible");
         assert_close(s1.value(y), 1.0);
-        let step2 = solver.resolve_with_fixings(&p, step1.state.as_ref().unwrap(), &[(y, 0.0)]);
+        let step2 = solver.resolve(&p, step1.state.unwrap(), &[(y, 0.0)]);
         assert_eq!(step2.outcome, SimplexOutcome::Infeasible);
+    }
+
+    /// `max x` s.t. `x ≤ 1`, solved and kept as a warm-start state.
+    fn one_row_state() -> (Problem, Var, LpState) {
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_continuous("x", 0.0, None);
+        p.add_constraint(LinearExpr::var(x), Cmp::Le, 1.0);
+        p.set_objective(LinearExpr::var(x));
+        let state = SimplexSolver::new()
+            .solve_tracked(&p, &[])
+            .state
+            .expect("optimal");
+        (p, x, state)
+    }
+
+    #[test]
+    fn resolve_appends_the_rows_the_state_lacks() {
+        // Regression: a warm resolve used to ignore rows added after the
+        // state was solved and returned the now infeasible x = 1.
+        let (mut p, x, state) = one_row_state();
+        p.add_constraint(LinearExpr::var(x), Cmp::Le, 0.0);
+        let warm = SimplexSolver::new().resolve(&p, state, &[]);
+        let sol = warm.outcome.solution().expect("x = 0 is feasible");
+        assert_close(sol.value(x), 0.0);
+        assert!(p.is_feasible(&sol.values, 1e-9));
+        assert_eq!(warm.state.expect("optimal").num_rows(), 2);
+    }
+
+    #[test]
+    fn resolve_rejects_a_variable_count_mismatch() {
+        // Regression: a variable the state lacks used to be dropped, giving
+        // a one-value solution with objective 1 instead of 2.
+        let (mut p, x, state) = one_row_state();
+        let y = p.add_continuous("y", 0.0, Some(1.0));
+        p.set_objective(LinearExpr::from_terms([(x, 1.0), (y, 1.0)]));
+        assert!(matches!(
+            SimplexSolver::new().resolve(&p, state, &[]).outcome,
+            SimplexOutcome::InvalidModel(_)
+        ));
     }
 
     #[test]
@@ -1403,7 +1359,7 @@ mod tests {
         let mut state = solver.solve_tracked(&p, &[]).state.expect("root optimal");
         for capacity in [4.0, 22.0, 1.0, 9.5, 2.0] {
             p.set_rhs(0, capacity).unwrap();
-            let warm = solver.resolve_with_rhs(&p, &state);
+            let warm = solver.reenter(&p, state, &[]);
             let cold = solver.solve_tracked(&p, &[]);
             let w = warm.outcome.solution().expect("warm optimal");
             let c = cold.outcome.solution().expect("cold optimal");
@@ -1425,7 +1381,7 @@ mod tests {
         let solver = SimplexSolver::new();
         let state = solver.solve_tracked(&p, &[]).state.expect("optimal");
         p.set_rhs(0, 0.5).unwrap();
-        let warm = solver.resolve_with_rhs(&p, &state);
+        let warm = solver.reenter(&p, state, &[]);
         assert_eq!(warm.outcome, SimplexOutcome::Infeasible);
     }
 
@@ -1441,7 +1397,7 @@ mod tests {
         let y = p.add_binary("y");
         p.add_constraint(LinearExpr::var(y), Cmp::Le, 1.0);
         assert!(matches!(
-            solver.resolve_with_rhs(&p, &state).outcome,
+            solver.reenter(&p, state, &[]).outcome,
             SimplexOutcome::InvalidModel(_)
         ));
     }

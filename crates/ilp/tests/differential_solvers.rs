@@ -301,7 +301,7 @@ proptest! {
         let mut applied: Vec<(Var, f64)> = Vec::new();
         for fixing in &pair.fixings {
             applied.push(*fixing);
-            let warm = solver.resolve_with_fixings(&pair.native, &state, &[*fixing]);
+            let warm = solver.resolve(&pair.native, state.clone(), &[*fixing]);
             let cold = solver.solve_tracked(&pair.native, &applied);
             match (warm.outcome, cold.outcome) {
                 (SimplexOutcome::Optimal(w), SimplexOutcome::Optimal(c)) => {

@@ -57,13 +57,11 @@ fn warm_sweeps_match_cold_solves_on_every_kernel() {
                 bench.name
             );
         }
-        // Every point after the first attempts the chain; a point may fall
-        // back to a cold root when the chained vertex branches badly (the
-        // bounded-regret guard), so the count is at least one and at most
-        // all of them.
+        // Every point after the first chains its root from the previous one.
         let chained = warm.stats().chained_roots;
-        assert!(
-            (1..budgets.len()).contains(&chained),
+        assert_eq!(
+            chained,
+            budgets.len() - 1,
             "{}: {} chained roots of {} points",
             bench.name,
             chained,
