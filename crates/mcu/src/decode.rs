@@ -24,11 +24,11 @@
 //!   precomputed; every run of ops whose charge is statically known (ALU,
 //!   multiplies, divides, resolved literal loads, push/pop) is prefused
 //!   into per-bucket aggregates charged once per straight-line chunk
-//!   instead of once per instruction; and the hottest dynamic op *pairs,
-//!   triples and quads* of the BEEBS sweep are fused into single
-//!   superinstructions (including the compare-plus-conditional-branch
-//!   that ends almost half of all executed blocks and the shift-add-load
-//!   array-indexing idiom);
+//!   instead of once per instruction; and the dynamic op *pairs and
+//!   triples* that the BEEBS sweep executes often enough to pay for their
+//!   code are fused into single superinstructions (including the
+//!   compare-plus-conditional-branch that ends almost half of all
+//!   executed blocks and the shift-add-load array-indexing idiom);
 //! * the running cycle total lives in a register: counter buckets are
 //!   charged in memory, but the budget check never reads memory.
 //!
@@ -127,9 +127,9 @@ type ChargeSlot = (u16, u32);
 /// ([`Chunk::charges`]), spilling into [`Op::Charge`] only for post-call
 /// segments or when a chunk touches more than two static buckets.
 ///
-/// The multi-destination variants are **superinstructions**: the hottest
-/// dynamic op pairs, triples and quads of the BEEBS sweep, fused at decode
-/// time so the interpreter pays one dispatch instead of two to four.  A
+/// The multi-destination variants are **superinstructions**: the hot
+/// dynamic op pairs and triples of the BEEBS sweep, fused at decode time so
+/// the interpreter pays one dispatch instead of two or three.  A
 /// fused arm executes its component ops completely and in order
 /// (destination writes included), so fusion is semantics-preserving for
 /// *any* adjacent ops of the right shapes, whatever their register
@@ -324,16 +324,6 @@ enum Op {
         rn2: u8,
         rm2: u8,
     },
-    /// `add rd1, rn1, rm1; lsl/lsr/asr rd2, rm2, #imm`.
-    AddRegShiftImm {
-        rd1: u8,
-        rn1: u8,
-        rm1: u8,
-        op: ShiftOp,
-        rd2: u8,
-        rm2: u8,
-        imm: u8,
-    },
     /// `add rd1, rn1, #imm; mov rd2, rm2`.
     AddImmMovReg {
         rd1: u8,
@@ -341,17 +331,6 @@ enum Op {
         imm: i32,
         rd2: u8,
         rm2: u8,
-    },
-    /// `add rd1, rn1, rm1; ldr rd2, [base, #offset]`.
-    AddRegLoad {
-        rd1: u8,
-        rn1: u8,
-        rm1: u8,
-        rd2: u8,
-        base: u8,
-        width: MemWidth,
-        charge: MemCharge,
-        offset: i32,
     },
     /// `ldr rd1, [base, #offset]; add rd2, rn2, rm2`.
     LoadAddReg {
@@ -380,25 +359,6 @@ enum Op {
         charge: MemCharge,
         offset: i32,
     },
-    /// `add rd1, rn1, rm1; lsl rd2, rm2, #imm; add rd3, rn3, rm3;
-    /// ldr rd4, [base, #offset]` — two-level indexing, the hottest quad.
-    AddRegShiftImmAddRegLoad {
-        rd1: u8,
-        rn1: u8,
-        rm1: u8,
-        op: ShiftOp,
-        rd2: u8,
-        rm2: u8,
-        imm: u8,
-        rd3: u8,
-        rn3: u8,
-        rm3: u8,
-        rd4: u8,
-        base: u8,
-        width: MemWidth,
-        charge: MemCharge,
-        offset: i32,
-    },
     /// `mov rd1, #imm1; mov rd2, #imm2; mul rd3, rn, rm`.
     MovImm2Mul {
         rd1: u8,
@@ -408,34 +368,6 @@ enum Op {
         rd3: u8,
         rn: u8,
         rm: u8,
-    },
-    /// `mov rd1, #imm; mul rd2, rn, rm; ldr rd3, [base, #offset]`.
-    MovImmMulLoad {
-        rd1: u8,
-        imm: i32,
-        rd2: u8,
-        rn: u8,
-        rm: u8,
-        rd3: u8,
-        base: u8,
-        width: MemWidth,
-        charge: MemCharge,
-        offset: i32,
-    },
-    /// `ldr rd1, [base, #offset]; add rd2, rn2, rm2; lsl rd3, rm3, #imm`.
-    LoadAddRegShiftImm {
-        rd1: u8,
-        base: u8,
-        width: MemWidth,
-        charge: MemCharge,
-        offset: i32,
-        rd2: u8,
-        rn2: u8,
-        rm2: u8,
-        op: ShiftOp,
-        rd3: u8,
-        rm3: u8,
-        imm: u8,
     },
     /// `mul rd1, rn1, rm1; add rd2, rn2, rm2; mov rd3, rm3`.
     MulAddRegMovReg {
@@ -460,33 +392,6 @@ enum Op {
         width: MemWidth,
         charge: MemCharge,
         offset: i32,
-    },
-    /// `add rd1, rn1, rm1; ldr rd2, [base, #offset]; mul rd3, rn3, rm3`.
-    AddRegLoadMul {
-        rd1: u8,
-        rn1: u8,
-        rm1: u8,
-        rd2: u8,
-        base: u8,
-        width: MemWidth,
-        charge: MemCharge,
-        offset: i32,
-        rd3: u8,
-        rn3: u8,
-        rm3: u8,
-    },
-    /// `add rd1, rn1, rm1; ldr rd2, [base, #offset]; mov rd3, #imm`.
-    AddRegLoadMovImm {
-        rd1: u8,
-        rn1: u8,
-        rm1: u8,
-        rd2: u8,
-        base: u8,
-        width: MemWidth,
-        charge: MemCharge,
-        offset: i32,
-        rd3: u8,
-        imm: i32,
     },
 }
 
@@ -626,22 +531,6 @@ fn fuse(a: Op, b: Op) -> Option<Op> {
             rm2: rm,
         },
         (
-            Op::AddReg {
-                rd: rd1,
-                rn: rn1,
-                rm: rm1,
-            },
-            Op::ShiftImm { op, rd, rm, imm },
-        ) => Op::AddRegShiftImm {
-            rd1,
-            rn1,
-            rm1,
-            op,
-            rd2: rd,
-            rm2: rm,
-            imm,
-        },
-        (
             Op::AddImm {
                 rd: rd1,
                 rn: rn1,
@@ -654,29 +543,6 @@ fn fuse(a: Op, b: Op) -> Option<Op> {
             imm,
             rd2: rd,
             rm2: rm,
-        },
-        (
-            Op::AddReg {
-                rd: rd1,
-                rn: rn1,
-                rm: rm1,
-            },
-            Op::Load {
-                rd,
-                base,
-                width,
-                charge,
-                offset,
-            },
-        ) => Op::AddRegLoad {
-            rd1,
-            rn1,
-            rm1,
-            rd2: rd,
-            base,
-            width,
-            charge,
-            offset,
         },
         (
             Op::Load {
@@ -698,7 +564,7 @@ fn fuse(a: Op, b: Op) -> Option<Op> {
             rm2: rm,
         },
         // Second-round rules: grow pair superinstructions into the hot
-        // triples and quads (a later peephole pass sees the pair as `a`).
+        // triples (a later peephole pass sees the pair as `a`).
         (
             Op::ShiftImmAddReg {
                 op,
@@ -731,43 +597,6 @@ fn fuse(a: Op, b: Op) -> Option<Op> {
             offset,
         },
         (
-            Op::AddRegShiftImm {
-                rd1,
-                rn1,
-                rm1,
-                op,
-                rd2,
-                rm2,
-                imm,
-            },
-            Op::AddRegLoad {
-                rd1: rd3,
-                rn1: rn3,
-                rm1: rm3,
-                rd2: rd4,
-                base,
-                width,
-                charge,
-                offset,
-            },
-        ) => Op::AddRegShiftImmAddRegLoad {
-            rd1,
-            rn1,
-            rm1,
-            op,
-            rd2,
-            rm2,
-            imm,
-            rd3,
-            rn3,
-            rm3,
-            rd4,
-            base,
-            width,
-            charge,
-            offset,
-        },
-        (
             Op::MovImm2 {
                 rd1,
                 imm1,
@@ -783,59 +612,6 @@ fn fuse(a: Op, b: Op) -> Option<Op> {
             rd3: rd,
             rn,
             rm,
-        },
-        (
-            Op::MovImmMul {
-                rd1,
-                imm,
-                rd2,
-                rn,
-                rm,
-            },
-            Op::Load {
-                rd,
-                base,
-                width,
-                charge,
-                offset,
-            },
-        ) => Op::MovImmMulLoad {
-            rd1,
-            imm,
-            rd2,
-            rn,
-            rm,
-            rd3: rd,
-            base,
-            width,
-            charge,
-            offset,
-        },
-        (
-            Op::LoadAddReg {
-                rd1,
-                base,
-                width,
-                charge,
-                offset,
-                rd2,
-                rn2,
-                rm2,
-            },
-            Op::ShiftImm { op, rd, rm, imm },
-        ) => Op::LoadAddRegShiftImm {
-            rd1,
-            base,
-            width,
-            charge,
-            offset,
-            rd2,
-            rn2,
-            rm2,
-            op,
-            rd3: rd,
-            rm3: rm,
-            imm,
         },
         (
             Op::MulAddReg {
@@ -884,62 +660,13 @@ fn fuse(a: Op, b: Op) -> Option<Op> {
             charge,
             offset,
         },
-        (
-            Op::AddRegLoad {
-                rd1,
-                rn1,
-                rm1,
-                rd2,
-                base,
-                width,
-                charge,
-                offset,
-            },
-            Op::Mul { rd, rn, rm },
-        ) => Op::AddRegLoadMul {
-            rd1,
-            rn1,
-            rm1,
-            rd2,
-            base,
-            width,
-            charge,
-            offset,
-            rd3: rd,
-            rn3: rn,
-            rm3: rm,
-        },
-        (
-            Op::AddRegLoad {
-                rd1,
-                rn1,
-                rm1,
-                rd2,
-                base,
-                width,
-                charge,
-                offset,
-            },
-            Op::MovImm { rd, imm },
-        ) => Op::AddRegLoadMovImm {
-            rd1,
-            rn1,
-            rm1,
-            rd2,
-            base,
-            width,
-            charge,
-            offset,
-            rd3: rd,
-            imm,
-        },
         _ => return None,
     })
 }
 
 /// Greedy left-to-right fusion over a chunk body, repeated until a pass
-/// fuses nothing more, so pair superinstructions grow into the triple and
-/// quad patterns.
+/// fuses nothing more, so pair superinstructions grow into the triple
+/// patterns.
 fn peephole(body: &mut Vec<Op>) {
     loop {
         let before = body.len();
@@ -1995,18 +1722,6 @@ fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Re
             st.set_r(rd1, shift(op, st.r(rm1), imm as u32));
             st.set_r(rd2, st.r(rn2).wrapping_add(st.r(rm2)));
         }
-        Op::AddRegShiftImm {
-            rd1,
-            rn1,
-            rm1,
-            op,
-            rd2,
-            rm2,
-            imm,
-        } => {
-            st.set_r(rd1, st.r(rn1).wrapping_add(st.r(rm1)));
-            st.set_r(rd2, shift(op, st.r(rm2), imm as u32));
-        }
         Op::AddImmMovReg {
             rd1,
             rn1,
@@ -2016,22 +1731,6 @@ fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Re
         } => {
             st.set_r(rd1, st.r(rn1).wrapping_add(imm));
             st.set_r(rd2, st.r(rm2));
-        }
-        Op::AddRegLoad {
-            rd1,
-            rn1,
-            rm1,
-            rd2,
-            base,
-            width,
-            charge,
-            offset,
-        } => {
-            st.set_r(rd1, st.r(rn1).wrapping_add(st.r(rm1)));
-            let addr = (st.r(base) as u32).wrapping_add(offset as u32);
-            let (v, section) = st.memory.read_fast(addr, width)?;
-            st.set_r(rd2, v);
-            *total += st.charge_load(charge, section);
         }
         Op::LoadAddReg {
             rd1,
@@ -2070,31 +1769,6 @@ fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Re
             st.set_r(rd3, v);
             *total += st.charge_load(charge, section);
         }
-        Op::AddRegShiftImmAddRegLoad {
-            rd1,
-            rn1,
-            rm1,
-            op,
-            rd2,
-            rm2,
-            imm,
-            rd3,
-            rn3,
-            rm3,
-            rd4,
-            base,
-            width,
-            charge,
-            offset,
-        } => {
-            st.set_r(rd1, st.r(rn1).wrapping_add(st.r(rm1)));
-            st.set_r(rd2, shift(op, st.r(rm2), imm as u32));
-            st.set_r(rd3, st.r(rn3).wrapping_add(st.r(rm3)));
-            let addr = (st.r(base) as u32).wrapping_add(offset as u32);
-            let (v, section) = st.memory.read_fast(addr, width)?;
-            st.set_r(rd4, v);
-            *total += st.charge_load(charge, section);
-        }
         Op::MovImm2Mul {
             rd1,
             imm1,
@@ -2107,46 +1781,6 @@ fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Re
             st.set_r(rd1, imm1);
             st.set_r(rd2, imm2);
             st.set_r(rd3, st.r(rn).wrapping_mul(st.r(rm)));
-        }
-        Op::MovImmMulLoad {
-            rd1,
-            imm,
-            rd2,
-            rn,
-            rm,
-            rd3,
-            base,
-            width,
-            charge,
-            offset,
-        } => {
-            st.set_r(rd1, imm);
-            st.set_r(rd2, st.r(rn).wrapping_mul(st.r(rm)));
-            let addr = (st.r(base) as u32).wrapping_add(offset as u32);
-            let (v, section) = st.memory.read_fast(addr, width)?;
-            st.set_r(rd3, v);
-            *total += st.charge_load(charge, section);
-        }
-        Op::LoadAddRegShiftImm {
-            rd1,
-            base,
-            width,
-            charge,
-            offset,
-            rd2,
-            rn2,
-            rm2,
-            op,
-            rd3,
-            rm3,
-            imm,
-        } => {
-            let addr = (st.r(base) as u32).wrapping_add(offset as u32);
-            let (v, section) = st.memory.read_fast(addr, width)?;
-            st.set_r(rd1, v);
-            *total += st.charge_load(charge, section);
-            st.set_r(rd2, st.r(rn2).wrapping_add(st.r(rm2)));
-            st.set_r(rd3, shift(op, st.r(rm3), imm as u32));
         }
         Op::MulAddRegMovReg {
             rd1,
@@ -2179,45 +1813,6 @@ fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Re
             let addr = (st.r(base) as u32).wrapping_add(offset as u32);
             let section = st.memory.write_fast(addr, st.r(rs), width)?;
             *total += st.charge_store(charge, section);
-        }
-        Op::AddRegLoadMul {
-            rd1,
-            rn1,
-            rm1,
-            rd2,
-            base,
-            width,
-            charge,
-            offset,
-            rd3,
-            rn3,
-            rm3,
-        } => {
-            st.set_r(rd1, st.r(rn1).wrapping_add(st.r(rm1)));
-            let addr = (st.r(base) as u32).wrapping_add(offset as u32);
-            let (v, section) = st.memory.read_fast(addr, width)?;
-            st.set_r(rd2, v);
-            *total += st.charge_load(charge, section);
-            st.set_r(rd3, st.r(rn3).wrapping_mul(st.r(rm3)));
-        }
-        Op::AddRegLoadMovImm {
-            rd1,
-            rn1,
-            rm1,
-            rd2,
-            base,
-            width,
-            charge,
-            offset,
-            rd3,
-            imm,
-        } => {
-            st.set_r(rd1, st.r(rn1).wrapping_add(st.r(rm1)));
-            let addr = (st.r(base) as u32).wrapping_add(offset as u32);
-            let (v, section) = st.memory.read_fast(addr, width)?;
-            st.set_r(rd2, v);
-            *total += st.charge_load(charge, section);
-            st.set_r(rd3, imm);
         }
     }
     Ok(())
@@ -2373,50 +1968,10 @@ mod tests {
         // The whole point of the flattened form is a small, fixed op
         // stride; superinstruction variants must not balloon it.
         assert!(
-            std::mem::size_of::<Op>() <= 24,
+            std::mem::size_of::<Op>() <= 20,
             "Op grew to {} bytes",
             std::mem::size_of::<Op>()
         );
-    }
-
-    #[test]
-    fn hot_pairs_fuse_into_superinstructions() {
-        let program = one_block_program(vec![
-            Inst::MovImm {
-                rd: Reg::R1,
-                imm: 6,
-            },
-            Inst::Mul {
-                rd: Reg::R0,
-                rn: Reg::R1,
-                rm: Reg::R1,
-            },
-            Inst::ShiftImm {
-                op: ShiftOp::Lsl,
-                rd: Reg::R2,
-                rm: Reg::R0,
-                imm: 1,
-            },
-            Inst::AddReg {
-                rd: Reg::R0,
-                rn: Reg::R0,
-                rm: Reg::R2,
-            },
-        ]);
-        let decoded = decode(&program).unwrap();
-        // (movimm, mul) and (shiftimm, addreg) both fuse: two
-        // superinstructions, with the charges and the return terminator in
-        // the chunk metadata.
-        assert_eq!(decoded.num_chunks(), 1);
-        assert_eq!(decoded.num_ops(), 2);
-        let board = Board::stm32vldiscovery();
-        let out = decoded
-            .execute(&board.power, &board.timing, u64::MAX)
-            .unwrap();
-        // r0 = 36, r2 = 72, r0 = 36 + 72.
-        assert_eq!(out.return_value, 108);
-        // Charges are unchanged by fusion: 3 ALU + 1 MUL + 3 return.
-        assert_eq!(out.meter.cycles, 7);
     }
 
     #[test]

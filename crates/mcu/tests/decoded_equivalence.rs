@@ -4,7 +4,10 @@
 //! and the same errors, including `CycleLimit { limit, executed }` at every
 //! possible budget, budgets expiring inside superinstructions included.
 
-use flashram_ir::Section;
+use flashram_ir::{BlockId, FuncId, MachineBlock, MachineFunction, MachineProgram, Section};
+use flashram_isa::cond::Cond;
+use flashram_isa::inst::Inst;
+use flashram_isa::{MemWidth, Reg, ShiftOp, Terminator};
 use flashram_mcu::{Board, RunConfig, RunError, RunResult};
 use flashram_minicc::{compile_program, OptLevel, SourceUnit};
 use proptest::prelude::*;
@@ -33,10 +36,25 @@ fn assert_same(
 
 /// Run `program` on both engines and assert the decoded run is
 /// bit-identical to the reference.
-fn run_both(board: &Board, program: &flashram_ir::MachineProgram, config: &RunConfig, what: &str) {
+fn run_both(board: &Board, program: &MachineProgram, config: &RunConfig, what: &str) {
     let decoded = board.run_with_config(program, config);
     let reference = board.run_reference_with_config(program, config);
     assert_same(&decoded, &reference, what);
+}
+
+/// [`run_both`] at every cycle budget from 0 to just past the program's
+/// full length, which it returns.
+fn run_both_at_every_budget(board: &Board, program: &MachineProgram, what: &str) -> u64 {
+    let total = board.run(program).unwrap().cycles();
+    for limit in 0..=total + 2 {
+        run_both(
+            board,
+            program,
+            &RunConfig { max_cycles: limit },
+            &format!("{what} budget {limit}/{total}"),
+        );
+    }
+    total
 }
 
 /// A compact generated program: one of a few shapes covering arithmetic,
@@ -145,16 +163,8 @@ fn every_cycle_budget_agrees_with_the_reference() {
         }
     ";
     let program = compile(src, OptLevel::O1);
-    let total = board.run(&program).unwrap().cycles();
+    let total = run_both_at_every_budget(&board, &program, "call loop");
     assert!(total > 100, "sweep needs a nontrivial program ({total})");
-    for limit in 0..=total + 2 {
-        run_both(
-            &board,
-            &program,
-            &RunConfig { max_cycles: limit },
-            &format!("budget {limit}/{total}"),
-        );
-    }
 }
 
 /// A hot loop swept at **every** cycle budget from 0 to just past
@@ -176,15 +186,201 @@ fn hot_loop_budget_sweep_agrees_with_the_reference() {
         }
     ";
     let program = compile(src, OptLevel::O2);
-    let total = board.run(&program).unwrap().cycles();
-    for limit in 0..=total + 2 {
-        run_both(
-            &board,
-            &program,
-            &RunConfig { max_cycles: limit },
-            &format!("hot-loop budget {limit}/{total}"),
-        );
+    run_both_at_every_budget(&board, &program, "hot loop");
+}
+
+/// `main` made of the given blocks, hand-built to reach decoder paths the
+/// compiler does not emit on demand.
+fn program(blocks: Vec<MachineBlock>) -> MachineProgram {
+    MachineProgram {
+        functions: vec![MachineFunction {
+            name: "main".into(),
+            blocks,
+            frame_size: 0,
+            num_params: 0,
+            is_library: false,
+        }],
+        globals: vec![],
+        entry: FuncId(0),
     }
+}
+
+fn mov(rd: Reg, imm: i32) -> Inst {
+    Inst::MovImm { rd, imm }
+}
+
+fn mov_reg(rd: Reg, rm: Reg) -> Inst {
+    Inst::MovReg { rd, rm }
+}
+
+fn add(rd: Reg, rn: Reg, rm: Reg) -> Inst {
+    Inst::AddReg { rd, rn, rm }
+}
+
+fn add_imm(rd: Reg, rn: Reg, imm: i32) -> Inst {
+    Inst::AddImm { rd, rn, imm }
+}
+
+fn mul(rd: Reg, rn: Reg, rm: Reg) -> Inst {
+    Inst::Mul { rd, rn, rm }
+}
+
+fn shift(op: ShiftOp, rd: Reg, rm: Reg, imm: u8) -> Inst {
+    Inst::ShiftImm { op, rd, rm, imm }
+}
+
+fn ldr(rd: Reg, base: Reg, offset: i32) -> Inst {
+    Inst::Load {
+        rd,
+        base,
+        offset,
+        width: MemWidth::Word,
+    }
+}
+
+fn str(rs: Reg, base: Reg, offset: i32) -> Inst {
+    Inst::Store {
+        rs,
+        base,
+        offset,
+        width: MemWidth::Word,
+    }
+}
+
+fn eor(rd: Reg, rn: Reg, rm: Reg) -> Inst {
+    Inst::Eor { rd, rn, rm }
+}
+
+fn orr_imm(rd: Reg, imm: i32) -> Inst {
+    Inst::OrrImm { rd, rn: rd, imm }
+}
+
+/// Every superinstruction the decoder keeps still forms from its component
+/// instructions — triples included, which grow out of a pair in a second
+/// peephole round — and runs bit-identical to the reference interpreter at
+/// every cycle budget, budgets expiring inside the fused op included.
+#[test]
+fn every_superinstruction_forms_and_matches_the_reference() {
+    use Reg::*;
+    use ShiftOp::{Asr, Lsl, Lsr};
+    let board = Board::stm32vldiscovery();
+    // Setup and fold use only ops that fuse with nothing (`sub`, `orr` and
+    // `str` never lead a pattern, `eor` never ends one), so the pattern
+    // under test is the only fusion in the block.
+    let setup = [
+        Inst::SubImm {
+            rd: R7,
+            rn: Sp,
+            imm: 64,
+        },
+        orr_imm(R1, 1),
+        orr_imm(R2, -3),
+        orr_imm(R3, 40),
+        str(R3, R7, 0),
+        str(R2, R7, 4),
+    ];
+    // Fold every register the patterns write into the return value, and
+    // read back the word the store pattern writes.
+    let mut fold: Vec<Inst> = [R1, R2, R3, R4, R5, R6, R7]
+        .into_iter()
+        .map(|r| eor(R0, R0, r))
+        .collect();
+    fold.extend([ldr(R8, R7, 8), eor(R0, R0, R8)]);
+
+    // (superinstruction, component instructions, ops they decode to)
+    let table: Vec<(&str, Vec<Inst>, usize)> = vec![
+        ("MovImm2", vec![mov(R4, 11), mov(R5, -7)], 1),
+        ("MovImmMul", vec![mov(R4, 11), mul(R5, R4, R2)], 1),
+        ("MulAddReg", vec![mul(R4, R3, R2), add(R5, R4, R1)], 1),
+        (
+            "ShiftImmAddReg",
+            vec![shift(Asr, R4, R2, 1), add(R5, R4, R3)],
+            1,
+        ),
+        ("AddImmMovReg", vec![add_imm(R4, R3, 5), mov_reg(R5, R4)], 1),
+        ("LoadAddReg", vec![ldr(R4, R7, 4), add(R5, R4, R3)], 1),
+        (
+            "ShiftImmAddRegLoad",
+            vec![shift(Lsl, R4, R1, 2), add(R5, R7, R4), ldr(R6, R5, 0)],
+            1,
+        ),
+        (
+            "MovImm2Mul",
+            vec![mov(R4, 3), mov(R5, 9), mul(R6, R4, R5)],
+            1,
+        ),
+        (
+            "MulAddRegMovReg",
+            vec![mul(R4, R3, R3), add(R5, R4, R2), mov_reg(R6, R5)],
+            1,
+        ),
+        (
+            "AddImmMovRegStore",
+            vec![add_imm(R4, R3, 1), mov_reg(R5, R4), str(R5, R7, 8)],
+            1,
+        ),
+        // Two-level indexing: a plain `add` ahead of the triple must not
+        // stop the triple from forming.
+        (
+            "AddReg + ShiftImmAddRegLoad",
+            vec![
+                add(R4, R1, R1),
+                shift(Lsr, R5, R4, 0),
+                add(R6, R7, R5),
+                ldr(R6, R6, 2),
+            ],
+            2,
+        ),
+    ];
+    for (name, pattern, fused_ops) in table {
+        let insts = setup.iter().chain(&pattern).chain(&fold).cloned().collect();
+        let program = program(vec![MachineBlock::new(insts, Terminator::Return)]);
+        let decoded = board.decode(&program).unwrap();
+        assert_eq!(decoded.num_chunks(), 1, "{name}");
+        assert_eq!(
+            decoded.num_ops(),
+            setup.len() + fused_ops + fold.len(),
+            "{name}: {} component instructions should decode to {fused_ops} op(s)",
+            pattern.len()
+        );
+        run_both_at_every_budget(&board, &program, name);
+    }
+}
+
+/// A conditional branch whose flags come from a compare in an earlier
+/// block, with an ALU op in between: the block does not end in a compare,
+/// so the decoder lowers its exit to the plain flag-reading conditional
+/// jump instead of a fused compare-and-branch.  Compiled code always puts
+/// the compare right before the branch, so only a hand-built program
+/// reaches this exit.  Both edges run (the loop is taken five times).
+#[test]
+fn flags_from_an_earlier_block_drive_a_conditional_branch() {
+    use Reg::*;
+    let board = Board::stm32vldiscovery();
+    let program = program(vec![
+        // 0: r0 = 0
+        MachineBlock::new(
+            vec![mov(R0, 0)],
+            Terminator::FallThrough { target: BlockId(1) },
+        ),
+        // 1: loop head: r1 += 1; cmp r1, #6
+        MachineBlock::new(
+            vec![add_imm(R1, R1, 1), Inst::CmpImm { rn: R1, imm: 6 }],
+            Terminator::FallThrough { target: BlockId(2) },
+        ),
+        // 2: r0 += r1; blt 1, on block 1's flags
+        MachineBlock::new(
+            vec![add(R0, R0, R1)],
+            Terminator::CondBranch {
+                cond: Cond::Lt,
+                target: BlockId(1),
+                fallthrough: BlockId(3),
+            },
+        ),
+        MachineBlock::new(vec![], Terminator::Return),
+    ]);
+    assert_eq!(board.run(&program).unwrap().return_value, 21, "1 + ... + 6");
+    run_both_at_every_budget(&board, &program, "plain conditional jump");
 }
 
 /// RAM-resident code and indirect (instrumented) terminators: the
