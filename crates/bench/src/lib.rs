@@ -1,9 +1,8 @@
 //! Experiment harnesses that regenerate the paper's tables and figures.
 //!
 //! Each public function corresponds to one experiment of the evaluation
-//! (Section 6 and Section 7); the binaries in `src/bin/` print the resulting
-//! series as text tables, and the Criterion benches in `benches/` wrap the
-//! same harnesses so `cargo bench` re-runs every experiment.
+//! (Section 6 and Section 7); the binaries in `src/bin/` run it and print
+//! the resulting series as text tables.
 //!
 //! | Paper artifact | Harness | Binary |
 //! |---|---|---|
@@ -1333,17 +1332,6 @@ pub fn solver_perf_json(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> Strin
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Build and solve the placement ILP for one benchmark, returning the number
-/// of blocks selected (used by the solver Criterion bench).
-pub fn solve_placement_once(board: &Board, bench: &Benchmark, level: OptLevel) -> usize {
-    let program = bench.compile_cached(level).expect("benchmark compiles");
-    RamOptimizer::new()
-        .optimize(&program, board)
-        .expect("placement succeeds")
-        .selected
-        .len()
 }
 
 /// The exhaustive solver, re-exported for verification binaries.

@@ -138,8 +138,8 @@ impl Board {
     }
 
     /// Lower a program into its decoded form (flattened ops, resolved
-    /// symbols, prefused charges) for this board's memory map and timing
-    /// model.
+    /// symbols, per-chunk static charges) for this board's memory map and
+    /// timing model.
     ///
     /// The result can be executed any number of times with
     /// [`Board::run_decoded`]; decoding is the per-program work,

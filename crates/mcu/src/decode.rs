@@ -12,35 +12,42 @@
 //!   array of compact fixed-size ops, split into *chunks* at call sites
 //!   so the executor's main loop sees exactly the same scheduling points
 //!   (block entry, call entry, post-call resume) as the reference
-//!   interpreter; per-chunk metadata (profile slot, prefused charges,
-//!   decoded terminator) lives outside the op stream so the dispatch loop
-//!   stays minimal;
+//!   interpreter; per-chunk metadata (static cycle sum, decoded
+//!   terminator) lives outside the op stream so the dispatch loop stays
+//!   minimal;
 //! * literal-pool symbol references are resolved to absolute addresses at
 //!   decode time, and every callee / block-target index is validated up
 //!   front — the hot loop contains **no** `BadProgram` checks, and a
 //!   malformed program fails at [`Board::decode`](crate::board::Board::decode)
 //!   with a [`DecodeError`] instead of faulting mid-run;
-//! * per-op cycle costs and [`CycleCounters`] bucket indices are
-//!   precomputed; every run of ops whose charge is statically known (ALU,
-//!   multiplies, divides, resolved literal loads, push/pop) is prefused
-//!   into per-bucket aggregates charged once per straight-line chunk
-//!   instead of once per instruction; and the dynamic op *pairs and
-//!   triples* that the BEEBS sweep executes often enough to pay for their
-//!   code are fused into single superinstructions (including the
-//!   compare-plus-conditional-branch that ends almost half of all
-//!   executed blocks and the shift-add-load array-indexing idiom);
-//! * the running cycle total lives in a register: counter buckets are
-//!   charged in memory, but the budget check never reads memory.
+//! * every charge that is statically known (ALU, multiplies, divides,
+//!   resolved literal loads, push/pop, and the exit cycles of jumps,
+//!   calls and returns) is summed per chunk and per [`CycleCounters`]
+//!   bucket at decode time.  The hot loop only counts chunk entries; the
+//!   run folds `count × cycles` into the counters once, when it finishes,
+//!   and derives the block and call profile from the same counts.  Only
+//!   data-dependent charges (the data memory of loads and stores, and
+//!   which edge a conditional exit takes) are charged as they happen;
+//! * the dynamic op *pairs and triples* that the BEEBS sweep executes
+//!   often enough to pay for their code are fused into single
+//!   superinstructions (including the compare-plus-conditional-branch
+//!   that ends almost half of all executed blocks and the shift-add-load
+//!   array-indexing idiom);
+//! * the running cycle total lives in a register: each chunk entry adds
+//!   the chunk's static cycle sum to it, so the budget check never reads
+//!   memory.
 //!
 //! The engine is **observably bit-identical** to the reference interpreter
 //! for every valid program: same `EnergyMeter` (to the bit — the counter
-//! fold is shared), same `ProfileData`, same return value, and same errors,
-//! including `RunError::CycleLimit { limit, executed }`, because the cycle
-//! budget is checked at exactly the reference interpreter's check points
-//! (block entry, call entry, post-call resume) with exactly the same
-//! running totals.  Prefusing cannot be observed: between two check points
-//! no charge is readable, and a faulting run discards its counters
-//! entirely.  The one intentional difference is *when* structural errors
+//! fold is shared and the counters are integers), same `ProfileData`, same
+//! return value, and same errors, including
+//! `RunError::CycleLimit { limit, executed }`, because the cycle budget is
+//! checked at exactly the reference interpreter's check points (block
+//! entry, call entry, post-call resume) with exactly the same running
+//! totals.  Charging a chunk's static cycles on entry cannot be observed:
+//! between two check points no charge is readable, every chunk a finished
+//! run entered also ran to its exit, and a faulting run discards its
+//! counters entirely.  The one intentional difference is *when* structural errors
 //! surface: the reference interpreter reports a dangling reference only if
 //! it executes it, the decoded engine rejects it before running anything.
 //!
@@ -114,18 +121,13 @@ struct MemCharge {
     contend: bool,
 }
 
-/// A prefused static charge aggregate: `(bucket, cycles)`, where a zeroed
-/// slot charges zero cycles to bucket zero (a no-op).
-type ChargeSlot = (u16, u32);
-
 /// One decoded operation.  Compact and fixed-size: register operands are
 /// raw indices, push/pop register lists live in a side table, and literal
 /// loads have been resolved into plain constants at decode time.
 ///
 /// Ops whose cycle charge is statically known carry no charge at all —
-/// their cycles are prefused into the owning chunk's aggregate slots
-/// ([`Chunk::charges`]), spilling into [`Op::Charge`] only for post-call
-/// segments or when a chunk touches more than two static buckets.
+/// their cycles are summed into the owning chunk's static charges
+/// ([`DecodedProgram::static_charges`]), which the run folds once at exit.
 ///
 /// The multi-destination variants are **superinstructions**: the hot
 /// dynamic op pairs and triples of the BEEBS sweep, fused at decode time so
@@ -136,12 +138,6 @@ type ChargeSlot = (u16, u32);
 /// dependencies.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Charge a prefused cycle aggregate to one counter bucket (post-call
-    /// segments, or overflow from the [`Chunk::charges`] slots).
-    Charge {
-        bucket: u16,
-        cycles: u32,
-    },
     MovImm {
         rd: u8,
         imm: i32,
@@ -396,24 +392,16 @@ enum Op {
 }
 
 /// How control leaves a chunk.  All targets are direct indices into the
-/// chunk array, resolved and validated at decode time.
+/// chunk array, resolved and validated at decode time.  The cycles of an
+/// exit that always costs the same are part of the chunk's static charges;
+/// only the two-way exits carry the cycles of each edge.
 #[derive(Debug, Clone, Copy)]
 enum ChunkExit {
-    /// `bl callee`: charge, push the next chunk, enter the callee's entry
-    /// chunk.
-    Call {
-        target: u32,
-        callee: u32,
-        bucket: u16,
-        cycles: u8,
-    },
+    /// `bl callee`: push the next chunk, enter the callee's entry chunk.
+    Call { target: u32, callee: u32 },
     /// Unconditional transfer (branch, fall-through, or their indirect
     /// forms — after decoding only the cycle cost distinguishes them).
-    Jump {
-        target: u32,
-        bucket: u16,
-        cycles: u8,
-    },
+    Jump { target: u32 },
     /// Flag-conditional two-way transfer.
     CondJump {
         cond: Cond,
@@ -458,12 +446,8 @@ enum ChunkExit {
         bucket: u16,
     },
     /// Return to the caller (or finish the run at the outermost frame).
-    Return { bucket: u16, cycles: u8 },
+    Return,
 }
-
-/// Sentinel for chunks that resume a block after a call (they are not
-/// block heads and must not bump the block's execution count).
-const NOT_A_HEAD: u32 = u32::MAX;
 
 /// One straight-line piece of a basic block: a run of ops ending either at
 /// a call site or at the block's terminator.  Chunk boundaries are exactly
@@ -473,11 +457,9 @@ const NOT_A_HEAD: u32 = u32::MAX;
 struct Chunk {
     op_start: u32,
     op_end: u32,
-    /// Flat block index for profile counting, or [`NOT_A_HEAD`].
-    block: u32,
-    /// Prefused static `(bucket, cycles)` charge aggregates, applied
-    /// unconditionally on chunk entry (a `(0, 0)` slot charges nothing).
-    charges: [ChargeSlot; 2],
+    /// Sum of the chunk's static charges, added to the running total on
+    /// entry for the budget check.
+    cycles: u32,
     exit: ChunkExit,
 }
 
@@ -707,11 +689,15 @@ fn peephole(body: &mut Vec<Op>) {
 pub struct DecodedProgram {
     ops: Vec<Op>,
     chunks: Vec<Chunk>,
+    /// Static `(chunk, bucket, cycles)` charges, one per bucket a chunk
+    /// touches, folded as `entries × cycles` when a run finishes.
+    static_charges: Vec<(u32, u16, u64)>,
     reg_lists: Vec<Reg>,
     entry_chunk: u32,
     /// Flat block index → `(function, block)`, for the profile fold.
     block_map: Vec<BlockRef>,
-    num_functions: usize,
+    /// Flat block index → its head chunk, whose entries count the block.
+    head_chunk: Vec<u32>,
     memory: Memory,
     layout: DataLayout,
 }
@@ -720,6 +706,7 @@ pub struct DecodedProgram {
 struct Emitter {
     ops: Vec<Op>,
     chunks: Vec<Chunk>,
+    static_charges: Vec<(u32, u16, u64)>,
     reg_lists: Vec<Reg>,
     /// Chunk index of each flat block's head chunk.
     head_chunk: Vec<u32>,
@@ -767,6 +754,7 @@ impl DecodedProgram {
         let mut e = Emitter {
             ops: Vec::new(),
             chunks: Vec::new(),
+            static_charges: Vec::new(),
             reg_lists: Vec::new(),
             head_chunk: vec![0; block_map.len()],
             func_block_base,
@@ -785,7 +773,7 @@ impl DecodedProgram {
         // Patch pass: flat block index → chunk index of its head chunk.
         for chunk in &mut e.chunks {
             match &mut chunk.exit {
-                ChunkExit::Jump { target, .. } => *target = e.head_chunk[*target as usize],
+                ChunkExit::Jump { target } => *target = e.head_chunk[*target as usize],
                 ChunkExit::CondJump {
                     target,
                     fallthrough,
@@ -809,10 +797,10 @@ impl DecodedProgram {
                     *target = e.head_chunk[*target as usize];
                     *fallthrough = e.head_chunk[*fallthrough as usize];
                 }
-                ChunkExit::Call { target, callee, .. } => {
+                ChunkExit::Call { target, callee } => {
                     *target = e.head_chunk[e.func_block_base[*callee as usize]];
                 }
-                ChunkExit::Return { .. } => {}
+                ChunkExit::Return => {}
             }
         }
 
@@ -820,10 +808,11 @@ impl DecodedProgram {
         Ok(DecodedProgram {
             ops: e.ops,
             chunks: e.chunks,
+            static_charges: e.static_charges,
             reg_lists: e.reg_lists,
             entry_chunk,
             block_map,
-            num_functions: program.functions.len(),
+            head_chunk: e.head_chunk,
             memory,
             layout,
         })
@@ -834,7 +823,8 @@ impl DecodedProgram {
         &self.layout
     }
 
-    /// Number of decoded operations (spilled charge aggregates included).
+    /// Number of decoded execution operations (static charges live in a
+    /// side table, not in the op stream).
     pub fn num_ops(&self) -> usize {
         self.ops.len()
     }
@@ -847,7 +837,7 @@ impl DecodedProgram {
 
 impl Emitter {
     /// Lower one basic block into chunks: the (fused) body segments split
-    /// at calls, each with its prefused charges and decoded exit.
+    /// at calls, each with its static charges and decoded exit.
     fn lower_block(
         &mut self,
         program: &MachineProgram,
@@ -859,8 +849,7 @@ impl Emitter {
         let f = &program.functions[fi];
         let b = &f.blocks[bi];
         let exec = b.section;
-        let flat_block = (self.func_block_base[fi] + bi) as u32;
-        self.head_chunk[flat_block as usize] = self.chunks.len() as u32;
+        self.head_chunk[self.func_block_base[fi] + bi] = self.chunks.len() as u32;
         let context = |what: &str| format!("{}:{bi} {what}", f.name);
 
         let alu = CycleCounters::flat_index(InstClass::Alu, exec, None);
@@ -869,7 +858,7 @@ impl Emitter {
         // Flash wait-state penalties are statically known per block:
         // RAM-resident code pays none, flash-resident code pays the fetch
         // penalty on every instruction and the refill/call penalties on
-        // control transfers — so they prefuse into the static charges.
+        // control transfers — so they join the static charges.
         let (instr_pen, call_pen) = match exec {
             Section::Flash => (
                 timing.flash_instr_penalty_cycles(),
@@ -878,10 +867,10 @@ impl Emitter {
             Section::Ram => (0, 0),
         };
 
-        // Fused static charges and execution ops of the current segment.
+        // Per-bucket static charges and execution ops of the current
+        // segment.
         let mut fused: BTreeMap<u16, u64> = BTreeMap::new();
         let mut body: Vec<Op> = Vec::new();
-        let mut is_head = true;
 
         for inst in &b.insts {
             match inst {
@@ -1174,9 +1163,9 @@ impl Emitter {
                 }
                 Inst::Push { regs } => {
                     // The stack lives in RAM: the data section is static, so
-                    // the charge prefuses even though execution can fault (a
-                    // faulting run discards its counters, so charging early
-                    // is unobservable).
+                    // the charge is static even though execution can fault
+                    // (a faulting run discards its counters, so counting it
+                    // on chunk entry is unobservable).
                     *fused
                         .entry(CycleCounters::flat_index(
                             InstClass::Stack,
@@ -1215,15 +1204,15 @@ impl Emitter {
                             "calls missing function fn{callee}"
                         ))));
                     }
+                    *fused
+                        .entry(CycleCounters::flat_index(InstClass::Call, exec, None))
+                        .or_insert(0) += inst.base_cycles() + call_pen;
                     let exit = ChunkExit::Call {
                         // Patched to the callee's entry chunk afterwards.
                         target: 0,
                         callee: *callee,
-                        bucket: CycleCounters::flat_index(InstClass::Call, exec, None),
-                        cycles: (inst.base_cycles() + call_pen) as u8,
                     };
-                    self.flush_chunk(&mut fused, &mut body, is_head, flat_block, exit)?;
-                    is_head = false;
+                    self.flush_chunk(&mut fused, &mut body, exit)?;
                 }
             }
         }
@@ -1251,8 +1240,6 @@ impl Emitter {
             | Terminator::FallThrough { target }
             | Terminator::IndirectFallThrough { target } => ChunkExit::Jump {
                 target: target_block(*target)?,
-                bucket: branch_bucket,
-                cycles: (kind.taken_cycles() + term_taken_pen) as u8,
             },
             Terminator::CondBranch {
                 cond,
@@ -1328,47 +1315,41 @@ impl Emitter {
                 not_taken_cycles: (kind.not_taken_cycles() + term_not_taken_pen) as u8,
                 bucket: branch_bucket,
             },
-            Terminator::Return => ChunkExit::Return {
-                bucket: branch_bucket,
-                cycles: (kind.taken_cycles() + term_taken_pen) as u8,
-            },
+            Terminator::Return => ChunkExit::Return,
         };
-        self.flush_chunk(&mut fused, &mut body, is_head, flat_block, exit)?;
-        Ok(())
+        // A jump or return always costs its taken cycles: a static charge.
+        if matches!(exit, ChunkExit::Jump { .. } | ChunkExit::Return) {
+            *fused.entry(branch_bucket).or_insert(0) += kind.taken_cycles() + term_taken_pen;
+        }
+        self.flush_chunk(&mut fused, &mut body, exit)
     }
 
-    /// Emit the chunk under construction: fuse hot op runs, fill the
-    /// inline charge slots (ascending bucket order, so emission is
-    /// deterministic), spill any further buckets as [`Op::Charge`] ops,
-    /// and append the execution ops.
+    /// Emit the chunk under construction: record its static charges
+    /// (ascending bucket order, so emission is deterministic) and their
+    /// sum, fuse hot op runs, and append the execution ops.
     fn flush_chunk(
         &mut self,
         fused: &mut BTreeMap<u16, u64>,
         body: &mut Vec<Op>,
-        is_head: bool,
-        flat_block: u32,
         exit: ChunkExit,
     ) -> Result<(), DecodeError> {
+        let chunk = self.chunks.len() as u32;
+        self.static_charges.extend(
+            fused
+                .iter()
+                .map(|(&bucket, &cycles)| (chunk, bucket, cycles)),
+        );
+        let cycles = u32::try_from(fused.values().sum::<u64>()).map_err(|_| {
+            DecodeError::Invalid("straight-line cycle aggregate overflows u32".into())
+        })?;
+        fused.clear();
         peephole(body);
         let op_start = self.ops.len() as u32;
-        let mut charges = [(0u16, 0u32); 2];
-        for (slot, (&bucket, &cycles)) in fused.iter().enumerate() {
-            let cycles = u32::try_from(cycles).map_err(|_| {
-                DecodeError::Invalid("straight-line cycle aggregate overflows u32".into())
-            })?;
-            if slot < charges.len() {
-                charges[slot] = (bucket, cycles);
-            } else {
-                self.ops.push(Op::Charge { bucket, cycles });
-            }
-        }
-        fused.clear();
         self.ops.append(body);
         self.chunks.push(Chunk {
             op_start,
             op_end: self.ops.len() as u32,
-            block: if is_head { flat_block } else { NOT_A_HEAD },
-            charges,
+            cycles,
             exit,
         });
         Ok(())
@@ -1389,8 +1370,8 @@ struct ExecState {
     regs: [i32; 16],
     flags: Flags,
     counters: CycleCounters,
-    block_counts: Vec<u64>,
-    call_counts: Vec<u64>,
+    /// Entries into each chunk.
+    chunk_counts: Vec<u64>,
     call_stack: Vec<u32>,
     load_pen: u64,
     store_pen: u64,
@@ -1407,8 +1388,7 @@ impl ExecState {
             regs,
             flags: Flags::default(),
             counters: CycleCounters::new(),
-            block_counts: vec![0u64; prog.block_map.len()],
-            call_counts: vec![0u64; prog.num_functions],
+            chunk_counts: vec![0u64; prog.chunks.len()],
             call_stack: Vec::new(),
             load_pen: timing.ram_load_contention_cycles,
             store_pen: timing.ram_store_contention_cycles,
@@ -1476,9 +1456,10 @@ impl DecodedProgram {
 
         // The running cycle total lives in a register, not in the counter
         // struct: the budget check would otherwise chain memory
-        // read-modify-writes into the loop's critical path.  Buckets are
-        // charged through `add_bucket` and the total is written back only
-        // when the run completes.
+        // read-modify-writes into the loop's critical path.  Dynamic
+        // charges go to their buckets through `add_bucket` as they happen;
+        // the static ones are folded from the chunk counts, and the total
+        // is written back, when the run completes.
         let mut total: u64 = 0;
         let mut pc = self.entry_chunk;
         loop {
@@ -1493,17 +1474,8 @@ impl DecodedProgram {
                 });
             }
             let chunk = &self.chunks[pc as usize];
-            if chunk.block != NOT_A_HEAD {
-                st.block_counts[chunk.block as usize] += 1;
-            }
-            // The chunk's prefused static charges: unconditional,
-            // branchless (an unused slot charges zero cycles to bucket
-            // zero).
-            st.counters
-                .add_bucket(chunk.charges[0].0, chunk.charges[0].1 as u64);
-            st.counters
-                .add_bucket(chunk.charges[1].0, chunk.charges[1].1 as u64);
-            total += chunk.charges[0].1 as u64 + chunk.charges[1].1 as u64;
+            st.chunk_counts[pc as usize] += 1;
+            total += chunk.cycles as u64;
             for op in self.ops[chunk.op_start as usize..chunk.op_end as usize]
                 .iter()
                 .copied()
@@ -1521,9 +1493,10 @@ impl DecodedProgram {
         }
     }
 
-    /// Fold a finished run's state into a [`CpuResult`]: write the running
-    /// total back, collapse the counter cube into the meter, and fold the
-    /// flat profile counts.
+    /// Fold a finished run's state into a [`CpuResult`]: charge every
+    /// chunk's static charges once per entry, write the running total
+    /// back, collapse the counter cube into the meter, and derive the
+    /// profile from the chunk counts.
     fn assemble(
         &self,
         mut st: ExecState,
@@ -1531,14 +1504,22 @@ impl DecodedProgram {
         power: &PowerModel,
         timing: &TimingModel,
     ) -> CpuResult {
+        for &(chunk, bucket, cycles) in &self.static_charges {
+            st.counters
+                .add_bucket(bucket, st.chunk_counts[chunk as usize] * cycles);
+        }
         st.counters.set_total(total);
         let meter = st.counters.finish(power, timing);
         let mut profile = ProfileData::new();
-        for (flat, &count) in st.block_counts.iter().enumerate() {
-            profile.add_block_count(self.block_map[flat], count);
+        for (&block, &head) in self.block_map.iter().zip(&self.head_chunk) {
+            profile.add_block_count(block, st.chunk_counts[head as usize]);
         }
-        for (fi, &count) in st.call_counts.iter().enumerate() {
-            profile.add_call_count(flashram_ir::FuncId(fi as u32), count);
+        // A call is an entry into a chunk that ends in `bl`, not into the
+        // callee's entry chunk: a loop back to block 0 enters that too.
+        for (chunk, &count) in self.chunks.iter().zip(&st.chunk_counts) {
+            if let ChunkExit::Call { callee, .. } = chunk.exit {
+                profile.add_call_count(flashram_ir::FuncId(callee), count);
+            }
         }
         CpuResult {
             return_value: st.regs[Reg::R0.index()],
@@ -1553,10 +1534,6 @@ impl DecodedProgram {
 #[inline(always)]
 fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Result<(), Fault> {
     match op {
-        Op::Charge { bucket, cycles } => {
-            st.counters.add_bucket(bucket, cycles as u64);
-            *total += cycles as u64;
-        }
         Op::MovImm { rd, imm } => st.set_r(rd, imm),
         Op::MovReg { rd, rm } => st.set_r(rd, st.r(rm)),
         Op::MovCond { cond, rd, imm } => {
@@ -1818,9 +1795,10 @@ fn exec_op(op: Op, reg_lists: &[Reg], st: &mut ExecState, total: &mut u64) -> Re
     Ok(())
 }
 
-/// Apply a chunk's exit: charge the branch/call/return cycles, update the
-/// flags and the call stack, and hand back the next chunk to dispatch —
-/// `None` when the outermost frame returned and the run is complete.
+/// Apply a chunk's exit: charge the cycles of the edge a two-way exit
+/// takes, update the flags and the call stack, and hand back the next
+/// chunk to dispatch — `None` when the outermost frame returned and the
+/// run is complete.
 #[inline(always)]
 fn take_exit(
     exit: &ChunkExit,
@@ -1829,30 +1807,14 @@ fn take_exit(
     pc: u32,
 ) -> Result<Option<u32>, RunError> {
     match *exit {
-        ChunkExit::Call {
-            target,
-            callee,
-            bucket,
-            cycles,
-        } => {
-            st.counters.add_bucket(bucket, cycles as u64);
-            *total += cycles as u64;
+        ChunkExit::Call { target, .. } => {
             if st.call_stack.len() >= MAX_CALL_DEPTH {
                 return Err(RunError::CallDepth(MAX_CALL_DEPTH));
             }
-            st.call_counts[callee as usize] += 1;
             st.call_stack.push(pc + 1);
             Ok(Some(target))
         }
-        ChunkExit::Jump {
-            target,
-            bucket,
-            cycles,
-        } => {
-            st.counters.add_bucket(bucket, cycles as u64);
-            *total += cycles as u64;
-            Ok(Some(target))
-        }
+        ChunkExit::Jump { target } => Ok(Some(target)),
         ChunkExit::CondJump {
             cond,
             target,
@@ -1928,11 +1890,7 @@ fn take_exit(
             *total += cycles as u64;
             Ok(Some(next))
         }
-        ChunkExit::Return { bucket, cycles } => {
-            st.counters.add_bucket(bucket, cycles as u64);
-            *total += cycles as u64;
-            Ok(st.call_stack.pop())
-        }
+        ChunkExit::Return => Ok(st.call_stack.pop()),
     }
 }
 
@@ -2023,7 +1981,7 @@ mod tests {
     }
 
     #[test]
-    fn straight_line_alu_runs_prefuse_into_one_charge() {
+    fn static_charges_stay_out_of_the_op_stream() {
         let program = one_block_program(vec![
             Inst::MovImm {
                 rd: Reg::R0,
@@ -2041,8 +1999,9 @@ mod tests {
             },
         ]);
         let decoded = decode(&program).unwrap();
-        // Three execution ops; the fused ALU charge rides in the chunk's
-        // inline slots, so no Charge op appears in the stream.
+        // Three execution ops: the ALU cycles and the return's cycles are
+        // the chunk's static charges, kept beside the op stream and folded
+        // once when the run finishes.
         assert_eq!(decoded.num_chunks(), 1);
         assert_eq!(decoded.num_ops(), 3);
         let board = Board::stm32vldiscovery();

@@ -191,9 +191,11 @@ impl CycleCounters {
     /// Charge a bucket **without** updating the running total.
     ///
     /// For callers that maintain the total themselves in a register (the
-    /// decoded engine's hot loop does: three dependent read-modify-writes
-    /// of a memory-resident total per chunk would otherwise form the loop's
-    /// critical path).  Crate-private because it can desynchronize
+    /// decoded engine's hot loop does: it adds each chunk's static cycle
+    /// sum on entry, and a memory-resident total would chain a dependent
+    /// read-modify-write per chunk into the loop's critical path; the
+    /// static charges themselves reach the buckets only when the run
+    /// finishes).  Crate-private because it can desynchronize
     /// [`CycleCounters::total_cycles`] from the buckets; pair with
     /// [`CycleCounters::set_total`] before the counters are read back.
     #[inline]

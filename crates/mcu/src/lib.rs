@@ -26,13 +26,14 @@
 //! semantics oracle; and the decoded engine ([`decode::DecodedProgram`])
 //! that [`Board::run`](board::Board::run) drives — a one-time lowering pass
 //! that flattens blocks into compact ops, resolves literal symbols,
-//! validates all cross-references, and prefuses statically known cycle
-//! charges.  The decoded engine is held bit-identical to the reference
-//! interpreter — same energy bits, same profile, same errors at every cycle
-//! budget.  [`BatchRunner`] scales them up: it fans a set of programs (or
-//! configurations) out over a worker pool and collects results that are
-//! order-stable and bit-identical to sequential runs — the substrate for
-//! every sweep in `flashram-bench` and the heavy integration tests.
+//! validates all cross-references, and sums statically known cycle charges
+//! per chunk, so a run only counts chunk entries.  The decoded engine is
+//! held bit-identical to the reference interpreter — same energy bits, same
+//! profile, same errors at every cycle budget.  [`BatchRunner`] scales them
+//! up: it fans a set of programs (or configurations) out over a worker pool
+//! and collects results that are order-stable and bit-identical to
+//! sequential runs — the substrate for every sweep in `flashram-bench` and
+//! the heavy integration tests.
 //!
 //! This crate corresponds to Sections 3 (measurement setup), 5 (power
 //! model) and 7 (sleep scenario) of the paper.

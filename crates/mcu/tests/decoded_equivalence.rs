@@ -383,6 +383,107 @@ fn flags_from_an_earlier_block_drive_a_conditional_branch() {
     run_both_at_every_budget(&board, &program, "plain conditional jump");
 }
 
+/// `main` made of `blocks`, plus `fn1` made of `callee`.
+fn program_with_callee(blocks: Vec<MachineBlock>, callee: Vec<MachineBlock>) -> MachineProgram {
+    let mut program = program(blocks);
+    program.functions.push(MachineFunction {
+        name: "callee".into(),
+        blocks: callee,
+        frame_size: 0,
+        num_params: 0,
+        is_library: false,
+    });
+    program
+}
+
+/// One block whose statically charged instructions touch five counter
+/// buckets (ALU, multiply, divide, stack, literal load) plus the call's,
+/// followed by a post-call segment.  Static charges live beside the op
+/// stream, so `num_ops()` counts execution ops only, however many buckets
+/// a chunk touches.
+#[test]
+fn a_chunk_touching_many_static_buckets_matches_the_reference() {
+    use flashram_isa::inst::LitValue;
+    use Reg::*;
+    let board = Board::stm32vldiscovery();
+    let program = program_with_callee(
+        vec![MachineBlock::new(
+            vec![
+                Inst::Push { regs: vec![R4, R5] },
+                Inst::LdrLit {
+                    rd: R4,
+                    value: LitValue::Const(1234),
+                },
+                orr_imm(R5, 7),
+                mul(R0, R4, R5),
+                Inst::Sdiv {
+                    rd: R1,
+                    rn: R0,
+                    rm: R5,
+                },
+                Inst::Pop { regs: vec![R4, R5] },
+                Inst::Bl { callee: 1 },
+                add(R0, R0, R1),
+            ],
+            Terminator::Return,
+        )],
+        vec![MachineBlock::new(
+            vec![add_imm(R0, R0, 3)],
+            Terminator::Return,
+        )],
+    );
+    let decoded = board.decode(&program).unwrap();
+    assert_eq!(decoded.num_chunks(), 3, "main splits at the call");
+    // push, ldr= (a constant move), orr, mul, sdiv, pop | add | callee's add
+    assert_eq!(decoded.num_ops(), 8, "no op carries a static charge");
+    assert_eq!(
+        board.run(&program).unwrap().return_value,
+        1234 * 7 + 3 + 1234
+    );
+    run_both_at_every_budget(&board, &program, "six static buckets");
+}
+
+/// A callee whose entry block is also a loop header: block 0 runs more
+/// often than the function is called, so call counts must come from the
+/// call sites, not from entries into the callee's first block.
+#[test]
+fn call_counts_ignore_loops_back_to_the_entry_block() {
+    use Reg::*;
+    let board = Board::stm32vldiscovery();
+    let program = program_with_callee(
+        vec![MachineBlock::new(
+            vec![
+                mov(R1, 0),
+                Inst::Bl { callee: 1 },
+                mov(R1, 0),
+                Inst::Bl { callee: 1 },
+            ],
+            Terminator::Return,
+        )],
+        vec![
+            // 0: r1 += 1; r0 += 2; loop while r1 < 3
+            MachineBlock::new(
+                vec![
+                    add_imm(R1, R1, 1),
+                    add_imm(R0, R0, 2),
+                    Inst::CmpImm { rn: R1, imm: 3 },
+                ],
+                Terminator::CondBranch {
+                    cond: Cond::Lt,
+                    target: BlockId(0),
+                    fallthrough: BlockId(1),
+                },
+            ),
+            MachineBlock::new(vec![], Terminator::Return),
+        ],
+    );
+    run_both_at_every_budget(&board, &program, "loop to the entry block");
+    let out = board.run(&program).unwrap();
+    assert_eq!(out.return_value, 12, "two calls of three iterations");
+    assert_eq!(out.profile.call_count(FuncId(1)), 2);
+    assert_eq!(out.profile.block_count(flashram_ir::BlockRef::new(1, 0)), 6);
+}
+
 /// RAM-resident code and indirect (instrumented) terminators: the
 /// contention cycles and the Figure 4 branch costs must fold identically.
 #[test]
