@@ -25,7 +25,8 @@
 //!   a solve-local problem copy, so the chained
 //!   root state the session carries always matches the session model's row
 //!   layout and the seeded incumbent prunes best-bound queue entries before
-//!   their LPs are ever solved;
+//!   their LPs are ever solved.  A previous optimum that no longer fits (on
+//!   a descent, always) is repaired into a fitting seed first;
 //! * [`PlacementSession::enumerate_frontier`] goes beyond grid sweeps and
 //!   computes the **exact Pareto staircase**: every distinct optimal
 //!   placement between a zero budget and `R_spare`, each annotated with the
@@ -45,6 +46,8 @@
 //! Frontier points are model predictions; [`Frontier::validate`] fans the
 //! actual placements over a [`BatchRunner`] worker pool and simulates each
 //! one, returning measured energies alongside the predictions.
+
+use std::collections::BTreeSet;
 
 use flashram_device::DeviceDescriptor;
 use flashram_ilp::{BranchBound, BranchBoundStats, GreedySolver, LpState, Solution, SolveError};
@@ -257,7 +260,12 @@ impl PlacementSession {
     }
 
     /// Solve one `(R_spare, X_limit)` point, chaining the root relaxation
-    /// from the previous solved point when possible.
+    /// from the previous solved point when possible.  The previous point's
+    /// optimum seeds the incumbent: as it is when it still fits the new
+    /// budgets, otherwise repaired by dropping RAM blocks until it fits
+    /// (see [`PlacementModel::assignment`]).  The seed only bounds the
+    /// search; [`PlacementSession::reset_chain`] makes the next point
+    /// independent of the ones before.
     ///
     /// # Errors
     ///
@@ -290,14 +298,25 @@ impl PlacementSession {
             ));
         }
         self.model.set_budgets(r_spare, x_limit);
-        // The previous point's optimum seeds the incumbent whenever it is
-        // still feasible (always, when a budget relaxes): the search then
-        // starts with a proven bound and only explores what the moved
-        // right-hand sides improved.
+        // The previous point's optimum seeds the incumbent: as it is when it
+        // still fits (always, when a budget relaxes), repaired when it does
+        // not (always, on a staircase descent).  The search then starts with
+        // a proven bound and only explores what the moved right-hand sides
+        // improved.
+        let repaired = self
+            .last_solution
+            .as_ref()
+            .filter(|last| {
+                !self
+                    .model
+                    .problem
+                    .is_feasible(&last.values, self.solver.tolerance)
+            })
+            .map(|last| self.repaired_seed(last));
         let run = self.solver.solve_chained_stats(
             &self.model.problem,
             self.root.as_ref(),
-            self.last_solution.as_ref(),
+            repaired.as_ref().or(self.last_solution.as_ref()),
         )?;
         let selected = self.model.selected_blocks(&run.solution);
         let predicted = evaluate_placement(&self.params, &selected, &self.model.config);
@@ -329,6 +348,47 @@ impl PlacementSession {
                 && run.stats.lp_iteration_limited == 0
                 && !run.stats.time_limit_hit,
         })
+    }
+
+    /// Repair a solution that no longer fits the current budgets by
+    /// dropping blocks from its RAM set, one at a time, until the
+    /// assignment fits or the set is empty.  A drop that makes the
+    /// assignment fit on its own is preferred, the cheapest such drop
+    /// first; otherwise the block that costs the least objective per byte
+    /// of the Eq. 7 row it frees goes.  The result may still be infeasible
+    /// (an `X_limit` below 1 rejects even the empty set);
+    /// [`BranchBound::solve_chained`] ignores such a seed.
+    fn repaired_seed(&self, last: &Solution) -> Solution {
+        let model = &self.model;
+        let fits = |s: &Solution| model.problem.is_feasible(&s.values, self.solver.tolerance);
+        let mut set: BTreeSet<BlockRef> = model.selected_blocks(last).into_iter().collect();
+        let mut current = model.assignment(&self.params, &set);
+        while !set.is_empty() && !fits(&current) {
+            let ram = model.ram_used(&current);
+            // (does not fit, cost): ordered so the least is the best drop.
+            let mut best: Option<((bool, f64), BlockRef, Solution)> = None;
+            for &block in &set {
+                let mut fewer = set.clone();
+                fewer.remove(&block);
+                let candidate = model.assignment(&self.params, &fewer);
+                let increase = candidate.objective - current.objective;
+                let freed = ram - model.ram_used(&candidate);
+                let key = if fits(&candidate) {
+                    (false, increase)
+                } else if freed > 0.0 {
+                    (true, increase / freed)
+                } else {
+                    (true, f64::INFINITY)
+                };
+                if best.as_ref().is_none_or(|(least, ..)| key < *least) {
+                    best = Some((key, block, candidate));
+                }
+            }
+            let (_, block, candidate) = best.expect("the set is not empty");
+            set.remove(&block);
+            current = candidate;
+        }
+        current
     }
 
     /// Solve one point with the documented degradation path: when the ILP
@@ -426,9 +486,12 @@ impl PlacementSession {
     /// minimum budget at which it becomes optimal
     /// ([`SweepPoint::model_ram_used`]).
     ///
-    /// The descent solves one ILP per staircase step (each warm-started from
-    /// the previous step), not one per grid point — see the module docs for
-    /// why that is exact.
+    /// The descent solves one ILP per staircase step, not one per grid
+    /// point — see the module docs for why that is exact.  Each step is
+    /// warm-started from the previous step's root and seeded with the
+    /// previous step's optimum repaired to fit one byte below its RAM use,
+    /// so the search starts with an incumbent that reduced-cost fixing
+    /// works from.
     ///
     /// # Errors
     ///

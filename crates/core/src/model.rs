@@ -14,7 +14,7 @@
 //! `i_b` to 1 whenever `b` and one of its successors sit in different
 //! memories (Eq. 5).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use flashram_ilp::{
     BranchBound, BranchBoundStats, Cmp, LinearExpr, Problem, Sense, Solution, SolveError, Var,
@@ -271,6 +271,35 @@ impl PlacementModel {
         solver.solve_with_stats(&self.problem)
     }
 
+    /// The full assignment of a RAM block set: `r_b` from the set, `i_b`
+    /// from Eq. 5 (a successor sits in the other memory), `z_b = r_b·i_b`,
+    /// and its objective.  Instrumenting a block only costs energy, time and
+    /// RAM, so this is the best solution of the model that moves exactly
+    /// `in_ram` — whether it fits the current budgets is for
+    /// [`Problem::is_feasible`] to say.  `params` must be the parameters the
+    /// model was built from.
+    pub fn assignment(&self, params: &ProgramParams, in_ram: &BTreeSet<BlockRef>) -> Solution {
+        let bit = |b: bool| if b { 1.0 } else { 0.0 };
+        let mut values = vec![0.0; self.problem.num_vars()];
+        for (r, v) in &self.vars {
+            let here = in_ram.contains(r);
+            let crosses = params.blocks[r].successors.iter().any(|s| {
+                let succ = BlockRef {
+                    func: r.func,
+                    block: *s,
+                };
+                self.vars.contains_key(&succ) && in_ram.contains(&succ) != here
+            });
+            values[v.in_ram.index()] = bit(here);
+            values[v.instrumented.index()] = bit(crosses);
+            values[v.both.index()] = bit(here && crosses);
+        }
+        Solution {
+            objective: self.problem.objective_value(&values),
+            values,
+        }
+    }
+
     /// The set of blocks a solution places in RAM.
     pub fn selected_blocks(&self, solution: &Solution) -> Vec<BlockRef> {
         self.vars
@@ -301,7 +330,6 @@ pub fn evaluate_placement(
     in_ram: &[BlockRef],
     config: &ModelConfig,
 ) -> PlacementEstimate {
-    use std::collections::BTreeSet;
     let ram_set: BTreeSet<BlockRef> = in_ram.iter().copied().collect();
     let mut energy = 0.0;
     let mut cycles = 0.0;

@@ -1,9 +1,10 @@
 //! Property tests for the frontier sweep engine on randomly generated
 //! placement parameters: the enumerated frontier must be a strict Pareto
-//! staircase, grid sweeps must be monotone in the relaxed budget, and
-//! warm-started chained solves must agree with cold per-point solves.
+//! staircase, every step must match brute force over all block subsets,
+//! grid sweeps must be monotone in the relaxed budget, and warm-started
+//! chained solves must agree with cold per-point solves.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use flashram_core::{frontier::PlacementSession, BlockParams, ModelConfig, ProgramParams};
 use flashram_ir::{BlockId, BlockRef, FuncId};
@@ -126,6 +127,67 @@ proptest! {
                 b,
                 point.objective,
                 step.objective
+            );
+        }
+    }
+
+    /// Every step of a staircase — each solved from the repaired previous
+    /// step as its seed — is the brute-force optimum over all block subsets
+    /// at the step's budget, and no subset reaches that objective with less
+    /// RAM.  Subsets are completed and scored by the model itself
+    /// (`PlacementModel::assignment`, the same builder the seed repair
+    /// uses), on zero-wait and wait-state parameters and under loose and
+    /// tight time bounds.
+    #[test]
+    fn staircase_steps_match_brute_force(
+        raw in proptest::collection::vec(block_strategy(), 2..9),
+        waits in proptest::collection::vec(0u64..12, 8),
+        zero_wait in any::<bool>(),
+        x_limit in prop_oneof![Just(1.05), Just(1.5), Just(4.0)],
+    ) {
+        let waits = if zero_wait { Vec::new() } else { waits };
+        let params = params_with_wait_states(&raw, &waits);
+        let refs = params.block_refs();
+        let total_bytes: u32 = params.blocks.values().map(|p| p.size_bytes).sum();
+        let mut session = PlacementSession::from_params(params.clone(), &config());
+        let frontier = session
+            .enumerate_frontier(x_limit, total_bytes + 64)
+            .expect("enumerable");
+        prop_assert!(frontier.exact);
+        let mut model = session.model().clone();
+        for step in &frontier.points {
+            model.set_budgets(step.r_spare, x_limit);
+            let tie = 1e-6 * step.objective.abs().max(1.0);
+            let mut best = f64::INFINITY;
+            for mask in 0u32..1 << refs.len() {
+                let set: BTreeSet<BlockRef> = refs
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, r)| *r)
+                    .collect();
+                let assignment = model.assignment(&params, &set);
+                if !model.problem.is_feasible(&assignment.values, 1e-6) {
+                    continue;
+                }
+                best = best.min(assignment.objective);
+                let ram = model.ram_used(&assignment).round() as u32;
+                prop_assert!(
+                    !(ram < step.model_ram_used && assignment.objective <= step.objective + tie),
+                    "budget {}: {:?} reaches {} with {} B, the step needs {} B",
+                    step.r_spare,
+                    set,
+                    assignment.objective,
+                    ram,
+                    step.model_ram_used
+                );
+            }
+            prop_assert!(
+                (step.objective - best).abs() <= tie,
+                "budget {}: step {} vs brute force {}",
+                step.r_spare,
+                step.objective,
+                best
             );
         }
     }

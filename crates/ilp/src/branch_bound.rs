@@ -2,10 +2,10 @@
 //!
 //! Branching fixes one fractional binary variable to 0 and to 1 in turn; the
 //! LP relaxation of each node provides the bound used for pruning.  The
-//! search follows one fixed policy built from three mechanisms; turning off
-//! best-bound order, presolve or cover cuts each made the placement
-//! searches measurably worse (see `docs/ARCHITECTURE.md`, "Why this search
-//! policy"), so none of them is optional:
+//! search follows one fixed policy built from four mechanisms; turning off
+//! best-bound order, reduced-cost fixing, presolve or cover cuts each made
+//! the placement searches measurably worse (see `docs/ARCHITECTURE.md`,
+//! "Why this search policy"), so none of them is optional:
 //!
 //! * **Best-bound node selection with plunging**: the open list is a
 //!   priority queue ordered by the parent's LP bound, and after branching
@@ -22,6 +22,12 @@
 //!   variable's |objective coefficient| so the very first branchings already
 //!   prefer high-impact blocks.  The branching score is the product of the
 //!   estimated up- and down-degradations.
+//! * **Reduced-cost fixing**: at a branching node with an incumbent, every
+//!   nonbasic binary whose reduced cost alone exceeds the gap to the
+//!   incumbent is fixed at its bound for the node's whole subtree
+//!   ([`BranchBoundStats::rc_fixed`] counts them).  It pays only once an
+//!   incumbent exists, so it works best with a seeded solve
+//!   ([`BranchBound::solve_chained`]).
 //! * **Cover cuts and presolve** (the `cuts` module): the placement model's
 //!   budget rows are knapsacks, so before the tree starts a presolve pass
 //!   fixes trivially flash-/RAM-resident blocks and tightens coefficients,
@@ -95,6 +101,9 @@ pub struct BranchBoundStats {
     pub cuts_added: usize,
     /// Variables fixed by the presolve pass before the tree started.
     pub presolve_fixed: usize,
+    /// Binaries fixed at a node because their reduced cost alone exceeded
+    /// the gap to the incumbent (each fixing holds for the node's subtree).
+    pub rc_fixed: usize,
     /// Wall-clock time of the solve in milliseconds.
     pub wall_ms: f64,
     /// Whether the solve was cut short by [`BranchBound::time_limit`].  The
@@ -343,10 +352,12 @@ impl BranchBound {
     /// [`ChainedSolve::root_state`] feeds the next link of the chain.
     ///
     /// `seed` is a candidate integer solution — typically the previous sweep
-    /// point's optimum.  If it is feasible under the current right-hand
-    /// sides (always the case when a budget *relaxes*), it becomes the
-    /// initial incumbent, so the search starts with a proven bound and
-    /// prunes everything the budget change did not improve; when the new
+    /// point's optimum, or, when a budget tightened past it, that optimum
+    /// repaired to fit (as the placement frontier's staircase descent
+    /// does).  If it is feasible under the current right-hand sides, it
+    /// becomes the initial incumbent, so the search starts with a proven
+    /// bound, prunes everything the budget change did not improve and
+    /// fixes binaries by reduced cost from the root on; when the new
     /// optimum equals the seed, the solve reduces to the root relaxation
     /// proving optimality.  An infeasible seed is ignored.  Seeded
     /// incumbents compose with best-bound order: the seed's objective
@@ -748,6 +759,37 @@ impl BranchBound {
                     }
                 }
                 Some((v, val, _)) => {
+                    // Reduced-cost fixing: moving a nonbasic binary off
+                    // its bound worsens the relaxation by at least its
+                    // reduced cost, so when that alone exceeds the gap to
+                    // the incumbent no solution in this subtree that moves
+                    // it can win.  Fix it in the state (warm children
+                    // inherit it) and in the fixings (cold children re-apply
+                    // them); the branching fixing is pushed after, so it
+                    // stays last.
+                    if let (Some(best), Some(st)) = (&incumbent, state.as_mut()) {
+                        let margin = self.tolerance * best.objective.abs().max(1.0);
+                        let gap = key_sign * (relaxed.objective - best.objective);
+                        for &b in &binaries {
+                            let j = b.index();
+                            if st.is_basic(j) || st.lo[j] == st.up[j] {
+                                continue;
+                            }
+                            // `d` is in minimization form: nonnegative at
+                            // the lower bound, nonpositive at the upper one.
+                            let (reduced_cost, at) = if st.at_upper[j] {
+                                (-st.d[j], st.up[j])
+                            } else {
+                                (st.d[j], st.lo[j])
+                            };
+                            if reduced_cost > gap + margin {
+                                st.lo[j] = at;
+                                st.up[j] = at;
+                                node.fixings.push((b, at));
+                                stats.rc_fixed += 1;
+                            }
+                        }
+                    }
                     let rounded = val.round().clamp(0.0, 1.0);
                     let other = 1.0 - rounded;
                     // Hand the solved state to both children unless warm
@@ -1261,6 +1303,20 @@ mod tests {
             warm_per_node < cold_per_node,
             "warm {warm_per_node:.2} pivots/node vs cold {cold_per_node:.2}"
         );
+    }
+
+    #[test]
+    fn reduced_cost_fixes_are_reported_and_do_not_change_the_optimum() {
+        // Seeded with its own optimum, the search has an incumbent from the
+        // root on, and the low-value items' reduced costs exceed the gap.
+        let p = branching_instance();
+        let exact = crate::ExhaustiveSolver::new().solve(&p).unwrap();
+        let run = BranchBound::new()
+            .solve_chained(&p, None, Some(&exact))
+            .unwrap();
+        assert!(run.stats.rc_fixed > 0, "no variable was fixed");
+        assert_close(run.solution.objective, exact.objective);
+        assert!(p.is_feasible(&run.solution.values, 1e-6));
     }
 
     #[test]
