@@ -11,7 +11,7 @@
 //! numbers are informational).  Positional arguments restrict the run to
 //! the named kernels (used to regenerate the `device_matrix` golden).
 
-use flashram_bench::{device_matrix, device_matrix_json, device_matrix_text};
+use flashram_bench::{device_matrix, device_matrix_document, device_matrix_text, write_report};
 use flashram_minicc::OptLevel;
 
 fn main() {
@@ -39,18 +39,6 @@ fn main() {
         diverging.join(", ")
     );
 
-    let json = device_matrix_json(&kernels, &failures);
-    let path = "BENCH_device.json";
-    std::fs::write(path, json).expect("write BENCH_device.json");
-    println!("wrote {path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        if !no_fail {
-            std::process::exit(1);
-        }
-        eprintln!("(--no-fail: reporting only)");
-    }
+    let doc = device_matrix_document(&kernels, &failures);
+    write_report("BENCH_device.json", &doc, &failures, no_fail);
 }

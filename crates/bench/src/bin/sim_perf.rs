@@ -23,7 +23,7 @@
 //! Pass `--no-fail` to report without failing (used by CI, where the
 //! numbers are informational).
 
-use flashram_bench::{sim_perf, sim_perf_json};
+use flashram_bench::{sim_perf, sim_perf_document, write_report};
 use flashram_mcu::Board;
 use flashram_minicc::OptLevel;
 
@@ -104,18 +104,6 @@ fn main() {
         ));
     }
 
-    let json = sim_perf_json(&report);
-    let path = "BENCH_sim.json";
-    std::fs::write(path, json).expect("write BENCH_sim.json");
-    println!("wrote {path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        if !no_fail {
-            std::process::exit(1);
-        }
-        eprintln!("(--no-fail: reporting only)");
-    }
+    let doc = sim_perf_document(&report);
+    write_report("BENCH_sim.json", &doc, &failures, no_fail);
 }

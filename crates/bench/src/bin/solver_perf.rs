@@ -10,7 +10,7 @@
 //! than its cold per-budget counterpart); pass `--no-fail` to report
 //! without failing (used by CI, where the numbers are informational).
 
-use flashram_bench::{solver_perf, solver_perf_json, solver_sweep_perf};
+use flashram_bench::{solver_perf, solver_perf_document, solver_sweep_perf, write_report};
 use flashram_mcu::Board;
 use flashram_minicc::OptLevel;
 
@@ -109,13 +109,13 @@ fn main() {
             row.benchmark,
             row.axis,
             row.points,
-            row.warm.lp_pivots,
-            row.warm.root_pivots,
-            row.warm.nodes,
+            row.warm.stats.lp_pivots,
+            row.warm.stats.root_pivots,
+            row.warm.stats.nodes_explored,
             row.warm.wall_ms,
-            row.cold.lp_pivots,
-            row.cold.root_pivots,
-            row.cold.nodes,
+            row.cold.stats.lp_pivots,
+            row.cold.stats.root_pivots,
+            row.cold.stats.nodes_explored,
             row.cold.wall_ms,
         );
         if !row.proven {
@@ -135,27 +135,27 @@ fn main() {
                 row.benchmark, row.axis, row.max_objective_delta
             ));
         }
-        if row.warm.root_pivots >= row.cold.root_pivots {
+        if row.warm.stats.root_pivots >= row.cold.stats.root_pivots {
             failures.push(format!(
                 "{} ({} sweep): chained roots spent {} pivots, not strictly \
                  fewer than the {} of cold roots",
-                row.benchmark, row.axis, row.warm.root_pivots, row.cold.root_pivots
+                row.benchmark, row.axis, row.warm.stats.root_pivots, row.cold.stats.root_pivots
             ));
         }
         // Per-kernel total-pivot regression check: on proven rows a chained
         // sweep must never pivot more than the cold per-point baseline.
-        if row.warm.lp_pivots > row.cold.lp_pivots {
+        if row.warm.stats.lp_pivots > row.cold.stats.lp_pivots {
             failures.push(format!(
                 "{} ({} sweep): chained sweep spent {} total pivots, more than \
                  the {} of cold per-point solves",
-                row.benchmark, row.axis, row.warm.lp_pivots, row.cold.lp_pivots
+                row.benchmark, row.axis, row.warm.stats.lp_pivots, row.cold.stats.lp_pivots
             ));
         }
     }
-    let sweep_warm: usize = sweep_rows.iter().map(|r| r.warm.lp_pivots).sum();
-    let sweep_cold: usize = sweep_rows.iter().map(|r| r.cold.lp_pivots).sum();
-    let root_warm: usize = sweep_rows.iter().map(|r| r.warm.root_pivots).sum();
-    let root_cold: usize = sweep_rows.iter().map(|r| r.cold.root_pivots).sum();
+    let sweep_warm: usize = sweep_rows.iter().map(|r| r.warm.stats.lp_pivots).sum();
+    let sweep_cold: usize = sweep_rows.iter().map(|r| r.cold.stats.lp_pivots).sum();
+    let root_warm: usize = sweep_rows.iter().map(|r| r.warm.stats.root_pivots).sum();
+    let root_cold: usize = sweep_rows.iter().map(|r| r.cold.stats.root_pivots).sum();
     println!(
         "total sweep LP pivots: chained {sweep_warm} ({root_warm} in roots), \
          cold per-point {sweep_cold} ({root_cold} in roots)"
@@ -164,7 +164,7 @@ fn main() {
     // with the per-row policy: truncated searches have incomparable trees.
     let proven = |rows: &[flashram_bench::SweepPerfRow]| -> (usize, usize) {
         rows.iter().filter(|r| r.proven).fold((0, 0), |(w, c), r| {
-            (w + r.warm.lp_pivots, c + r.cold.lp_pivots)
+            (w + r.warm.stats.lp_pivots, c + r.cold.stats.lp_pivots)
         })
     };
     let (proven_warm, proven_cold) = proven(&sweep_rows);
@@ -175,18 +175,6 @@ fn main() {
         ));
     }
 
-    let json = solver_perf_json(&rows, &sweep_rows);
-    let path = "BENCH_solver.json";
-    std::fs::write(path, json).expect("write BENCH_solver.json");
-    println!("wrote {path}");
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        if !no_fail {
-            std::process::exit(1);
-        }
-        eprintln!("(--no-fail: reporting only)");
-    }
+    let doc = solver_perf_document(&rows, &sweep_rows);
+    write_report("BENCH_solver.json", &doc, &failures, no_fail);
 }

@@ -1,7 +1,8 @@
 //! Seeded stress driver for the placement service: replays a synthetic
 //! workload (mixed kernels, budgets, query shapes, arrival jitter) against
-//! a [`PlacementServer`](flashram_serve::PlacementServer) and writes throughput / latency-percentile /
-//! cache-hit / degradation-rate numbers to `BENCH_serve.json`.
+//! a [`PlacementServer`](flashram_serve::PlacementServer) and writes
+//! throughput / latency-percentile / session-build / cache-hit /
+//! degradation-rate numbers to `BENCH_serve.json`.
 //!
 //! Acceptance checks (exit nonzero unless `--no-fail`):
 //!
@@ -26,10 +27,8 @@
 
 use std::time::Duration;
 
-use flashram_serve::workload::{
-    run_stress, stress_report_json, ChaosConfig, StressConfig, WorkloadShape,
-};
-use flashram_serve::ServerConfig;
+use flashram_bench::{stress_document, write_report};
+use flashram_serve::{run_stress, ChaosConfig, ServerConfig, StressConfig, WorkloadShape};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -166,22 +165,11 @@ fn main() {
              {} quarantined  {} panics contained  {} workers restarted",
             chaos.succeeded,
             chaos.failed,
-            chaos.quarantined,
-            chaos.worker_panics,
-            chaos.worker_restarts
+            report.server.cache.quarantined,
+            report.server.worker_panics,
+            report.server.worker_restarts
         );
     }
 
-    std::fs::write(&out, stress_report_json(&report)).expect("write the stress report");
-    println!("wrote {out}");
-
-    if !report.failures.is_empty() {
-        for f in &report.failures {
-            eprintln!("FAIL: {f}");
-        }
-        if !no_fail {
-            std::process::exit(1);
-        }
-        eprintln!("(--no-fail: reporting only)");
-    }
+    write_report(&out, &stress_document(&report), &report.failures, no_fail);
 }

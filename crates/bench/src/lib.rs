@@ -14,11 +14,11 @@
 //! | Solver performance (warm vs cold B&B) | [`solver_perf`] | `solver_perf` → `BENCH_solver.json` |
 //! | Simulator throughput (batched vs sequential) | [`sim_perf`] | `sim_perf` → `BENCH_sim.json` |
 //! | Cross-device frontier matrix (device database) | [`device_matrix`] | `device_matrix` → `BENCH_device.json` |
+//! | Placement-service stress (throughput, latency, cache hits) | [`run_stress`](flashram_serve::run_stress) | `stress` → `BENCH_serve.json`, `BENCH_serve_chaos.json` |
 //!
-//! One trajectory file lives outside this crate: the placement *service*
-//! stress harness (`flashram-serve`'s `stress` binary) regenerates
-//! `BENCH_serve.json` — server throughput, latency percentiles, cache-hit
-//! and degradation rates — alongside the three tracked here.
+//! Every `BENCH_*.json` file is built as a [`Json`] value that opens with a
+//! `provenance` header (commit, host CPUs, build profile, timing method)
+//! and is written by [`write_report`].
 //!
 //! The sweeps run on [`BatchRunner`], the `flashram-mcu` worker pool, so a
 //! ten-kernel × five-level sweep saturates every core while returning
@@ -30,6 +30,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod json;
+
+use json::{document, obj};
+pub use json::{write_report, Json};
+
 use flashram_beebs::Benchmark;
 use flashram_core::{
     evaluate_placement, extract_params, measure_case_study, period_sweep, CaseStudyMeasurement,
@@ -37,13 +42,14 @@ use flashram_core::{
     PlacementScope, PlacementSession, RamOptimizer, SweepStats,
 };
 use flashram_device::DEVICE_DB;
-use flashram_ilp::{BranchBound, BranchBoundStats, ExhaustiveSolver};
+use flashram_ilp::{BranchBound, BranchBoundStats};
 use flashram_ir::{
     BlockId, BlockRef, FuncId, GlobalData, MachineBlock, MachineFunction, MachineProgram, Section,
 };
 use flashram_isa::{Cond, Inst, MemWidth, Reg, TermKind, Terminator};
 use flashram_mcu::{BatchRunner, Board, PowerModel, RunConfig, RunResult};
 use flashram_minicc::OptLevel;
+use flashram_serve::StressReport;
 
 /// One bar pair of Figure 1: the average power of a tight loop of one
 /// instruction kind, executed from flash and from RAM.
@@ -1009,24 +1015,12 @@ pub fn solver_perf(board: &Board, level: OptLevel) -> (Vec<SolverPerfRow>, Vec<S
 }
 
 /// Cumulative effort of one whole constraint sweep (all points together).
+/// Total pivots include each point's subtree, whose shape varies with the
+/// root vertex the LP lands on, so they are noisier than root pivots.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPerfNumbers {
-    /// Simplex pivots across every point of the sweep (roots and B&B
-    /// nodes).
-    pub lp_pivots: usize,
-    /// Pivots spent on the points' **root** relaxations alone.  This is the
-    /// number cross-point chaining attacks: a chained root re-enters with
-    /// the dual simplex in a handful of pivots where a cold root re-pivots
-    /// the two-phase solve from nothing.  (Total pivots also include the
-    /// branch-and-bound subtree, whose shape varies with the root vertex
-    /// the LP lands on, so on heavily degenerate points the totals are the
-    /// noisier of the two numbers.)
-    pub root_pivots: usize,
-    /// Branch-and-bound nodes across every point.
-    pub nodes: usize,
-    /// Points whose root relaxation was warm-started from the previous
-    /// point's basis (always 0 for the cold mode).
-    pub chained_roots: usize,
+    /// Solver effort summed over every point of the sweep.
+    pub stats: SweepStats,
     /// Wall-clock time of the whole sweep in milliseconds.
     pub wall_ms: f64,
 }
@@ -1096,24 +1090,13 @@ fn sweep_perf_row(
         .iter()
         .map(|&(r_spare, x_limit)| session.solve_point(r_spare, x_limit))
         .collect();
-    let warm_wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let stats = session.stats();
     let warm = SweepPerfNumbers {
-        lp_pivots: stats.lp_pivots,
-        root_pivots: stats.root_pivots,
-        nodes: stats.nodes_explored,
-        chained_roots: stats.chained_roots,
-        wall_ms: warm_wall_ms,
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        stats: session.stats(),
     };
 
     // Cold: rebuild the model and solve from scratch at every point.
-    let mut cold = SweepPerfNumbers {
-        lp_pivots: 0,
-        root_pivots: 0,
-        nodes: 0,
-        chained_roots: 0,
-        wall_ms: 0.0,
-    };
+    let mut cold = SweepStats::default();
     let mut max_objective_delta = 0.0f64;
     let mut proven = warm_points
         .iter()
@@ -1131,9 +1114,10 @@ fn sweep_perf_row(
             warm_point,
         ) {
             (Ok((solution, stats)), Ok(point)) => {
+                cold.points_solved += 1;
                 cold.lp_pivots += stats.lp_pivots;
                 cold.root_pivots += stats.root_pivots;
-                cold.nodes += stats.nodes_explored;
+                cold.nodes_explored += stats.nodes_explored;
                 proven &= !stats.budget_exhausted && stats.lp_iteration_limited == 0;
                 let delta = (solution.objective - point.objective).abs()
                     / solution.objective.abs().max(1.0);
@@ -1150,7 +1134,10 @@ fn sweep_perf_row(
             }
         }
     }
-    cold.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let cold = SweepPerfNumbers {
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        stats: cold,
+    };
 
     Some(SweepPerfRow {
         benchmark: benchmark.to_string(),
@@ -1251,92 +1238,56 @@ pub fn figure5_averages_text(results: &[BenchmarkResult]) -> String {
     out
 }
 
-/// Render the solver performance rows (per-model warm-vs-cold solves plus
-/// the budget-sweep comparison) as the `BENCH_solver.json` document
-/// (hand-rolled: the build environment has no serde).
-pub fn solver_perf_json(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> String {
-    fn run(r: &SolverRunNumbers) -> String {
-        format!(
-            concat!(
-                "{{\"nodes_explored\": {}, \"nodes_pruned\": {}, ",
-                "\"lp_pivots\": {}, \"root_pivots\": {}, ",
-                "\"warm_solves\": {}, \"warm_pivots\": {}, ",
-                "\"cold_solves\": {}, \"cold_pivots\": {}, ",
-                "\"budget_exhausted\": {}, \"lp_iteration_limited\": {}, ",
-                "\"wall_ms\": {:.3}, \"objective\": {:.6}}}"
-            ),
-            r.stats.nodes_explored,
-            r.stats.nodes_pruned,
-            r.stats.lp_pivots,
-            r.stats.root_pivots,
-            r.stats.warm_solves,
-            r.stats.warm_pivots,
-            r.stats.cold_solves,
-            r.stats.cold_pivots,
-            r.stats.budget_exhausted,
-            r.stats.lp_iteration_limited,
-            r.wall_ms,
-            r.objective,
-        )
-    }
-    let mut out = String::from("{\n  \"benchmarks\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"benchmark\": \"{}\", \"r_spare\": {}, \"x_limit\": {}, ",
-                "\"vars\": {}, \"constraints\": {}, ",
-                "\"warm\": {}, \"cold\": {}}}{}\n"
-            ),
-            row.benchmark,
-            row.r_spare,
-            row.x_limit,
-            row.vars,
-            row.constraints,
-            run(&row.warm),
-            run(&row.cold),
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n  \"sweep\": [\n");
-    for (i, row) in sweep.iter().enumerate() {
-        let numbers = |n: &SweepPerfNumbers| {
-            format!(
-                concat!(
-                    "{{\"lp_pivots\": {}, \"root_pivots\": {}, \"nodes\": {}, ",
-                    "\"chained_roots\": {}, \"wall_ms\": {:.3}}}"
-                ),
-                n.lp_pivots, n.root_pivots, n.nodes, n.chained_roots, n.wall_ms,
-            )
-        };
-        out.push_str(&format!(
-            concat!(
-                "    {{\"benchmark\": \"{}\", \"axis\": \"{}\", \"points\": {}, ",
-                "\"warm\": {}, \"cold\": {}, ",
-                "\"total_pivots_warm\": {}, \"total_pivots_cold\": {}, ",
-                "\"total_pivots_delta\": {}, ",
-                "\"max_objective_delta\": {:.2e}, ",
-                "\"proven\": {}}}{}\n"
-            ),
-            row.benchmark,
-            row.axis,
-            row.points,
-            numbers(&row.warm),
-            numbers(&row.cold),
-            row.warm.lp_pivots,
-            row.cold.lp_pivots,
-            row.warm.lp_pivots as i64 - row.cold.lp_pivots as i64,
-            row.max_objective_delta,
-            row.proven,
-            if i + 1 < sweep.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The exhaustive solver, re-exported for verification binaries.
-pub fn exhaustive_solver() -> ExhaustiveSolver {
-    ExhaustiveSolver::new()
+/// The `BENCH_solver.json` document: per-model warm-vs-cold solves plus
+/// the sweep comparison.
+pub fn solver_perf_document(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> Json {
+    let run = |r: &SolverRunNumbers| {
+        let s = &r.stats;
+        obj! {
+            "nodes_explored": s.nodes_explored, "nodes_pruned": s.nodes_pruned,
+            "lp_pivots": s.lp_pivots, "root_pivots": s.root_pivots,
+            "warm_solves": s.warm_solves, "warm_pivots": s.warm_pivots,
+            "cold_solves": s.cold_solves, "cold_pivots": s.cold_pivots,
+            "budget_exhausted": s.budget_exhausted,
+            "lp_iteration_limited": s.lp_iteration_limited,
+            "wall_ms": Json::Fixed(r.wall_ms, 3), "objective": Json::Fixed(r.objective, 6),
+        }
+    };
+    let numbers = |n: &SweepPerfNumbers| {
+        obj! {
+            "lp_pivots": n.stats.lp_pivots, "root_pivots": n.stats.root_pivots,
+            "nodes": n.stats.nodes_explored, "chained_roots": n.stats.chained_roots,
+            "wall_ms": Json::Fixed(n.wall_ms, 3),
+        }
+    };
+    let benchmarks = rows.iter().map(|row| {
+        obj! {
+            "benchmark": row.benchmark.as_str(), "r_spare": row.r_spare,
+            "x_limit": Json::Fixed(row.x_limit, 1),
+            "vars": row.vars, "constraints": row.constraints,
+            "warm": run(&row.warm), "cold": run(&row.cold),
+        }
+    });
+    let sweeps = sweep.iter().map(|row| {
+        let (warm, cold) = (row.warm.stats.lp_pivots, row.cold.stats.lp_pivots);
+        obj! {
+            "benchmark": row.benchmark.as_str(), "axis": row.axis, "points": row.points,
+            "warm": numbers(&row.warm), "cold": numbers(&row.cold),
+            "total_pivots_warm": warm, "total_pivots_cold": cold,
+            "total_pivots_delta": warm as i64 - cold as i64,
+            "max_objective_delta": Json::Sci(row.max_objective_delta, 2),
+            "proven": row.proven,
+        }
+    });
+    let timing = "one wall-clock run per solve, warm then cold; each sweep timed once \
+                  as a whole, chained then cold per point";
+    document(
+        timing,
+        obj! {
+            "benchmarks": Json::Arr(benchmarks.collect()),
+            "sweep": Json::Arr(sweeps.collect()),
+        },
+    )
 }
 
 /// One row of the future-work experiment: the measured effect of the
@@ -1723,57 +1674,39 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
     }
 }
 
-/// Render a [`SimPerfReport`] as the `BENCH_sim.json` document
-/// (hand-rolled: the build environment has no serde).
-pub fn sim_perf_json(report: &SimPerfReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        concat!(
-            "  \"threads\": {},\n  \"programs\": {},\n",
-            "  \"total_cycles\": {},\n",
-            "  \"reference_wall_ms\": {:.3},\n",
-            "  \"sequential_wall_ms\": {:.3},\n  \"batched_wall_ms\": {:.3},\n",
-            "  \"reference_mcycles_per_s\": {:.1},\n",
-            "  \"decoded_mcycles_per_s\": {:.1},\n",
-            "  \"decode_speedup\": {:.3},\n",
-            "  \"speedup\": {:.3},\n  \"batched_mcycles_per_s\": {:.1},\n",
-            "  \"decoded_bit_identical\": {},\n",
-            "  \"batched_bit_identical\": {},\n",
-            "  \"runs\": [\n"
-        ),
-        report.threads,
-        report.rows.len(),
-        report.total_cycles,
-        report.reference_wall_ms,
-        report.sequential_wall_ms,
-        report.batched_wall_ms,
-        report.reference_mcycles_per_s(),
-        report.decoded_mcycles_per_s(),
-        report.decode_speedup(),
-        report.speedup(),
-        report.batched_mcycles_per_s(),
-        report.decoded_bit_identical,
-        report.batched_bit_identical,
-    ));
-    for (i, row) in report.rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"benchmark\": \"{}\", \"level\": \"{}\", \"cycles\": {}, ",
-                "\"energy_mj\": {:.6}, \"return_value\": {}, ",
-                "\"reference_mcycles_per_s\": {:.1}, \"decoded_mcycles_per_s\": {:.1}}}{}\n"
-            ),
-            row.benchmark,
-            row.level,
-            row.cycles,
-            row.energy_mj,
-            row.return_value,
-            row.reference_mcycles_per_s(),
-            row.decoded_mcycles_per_s(),
-            if i + 1 < report.rows.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_sim.json` document of a [`SimPerfReport`].
+pub fn sim_perf_document(report: &SimPerfReport) -> Json {
+    let mcycles = |x: f64| Json::Fixed(x, 1);
+    let runs = report.rows.iter().map(|row| {
+        obj! {
+            "benchmark": row.benchmark.as_str(), "level": row.level.to_string(),
+            "cycles": row.cycles, "energy_mj": Json::Fixed(row.energy_mj, 6),
+            "return_value": row.return_value,
+            "reference_mcycles_per_s": mcycles(row.reference_mcycles_per_s()),
+            "decoded_mcycles_per_s": mcycles(row.decoded_mcycles_per_s()),
+        }
+    });
+    let timing = "per-kernel min of 5 interleaved rounds, pass order rotated each round; \
+                  batched pass min of 5; decoding untimed";
+    document(
+        timing,
+        obj! {
+            "threads": report.threads,
+            "programs": report.rows.len(),
+            "total_cycles": report.total_cycles,
+            "reference_wall_ms": Json::Fixed(report.reference_wall_ms, 3),
+            "sequential_wall_ms": Json::Fixed(report.sequential_wall_ms, 3),
+            "batched_wall_ms": Json::Fixed(report.batched_wall_ms, 3),
+            "reference_mcycles_per_s": mcycles(report.reference_mcycles_per_s()),
+            "decoded_mcycles_per_s": mcycles(report.decoded_mcycles_per_s()),
+            "decode_speedup": Json::Fixed(report.decode_speedup(), 3),
+            "speedup": Json::Fixed(report.speedup(), 3),
+            "batched_mcycles_per_s": mcycles(report.batched_mcycles_per_s()),
+            "decoded_bit_identical": report.decoded_bit_identical,
+            "batched_bit_identical": report.batched_bit_identical,
+            "runs": Json::Arr(runs.collect()),
+        },
+    )
 }
 
 /// One `(kernel, device)` cell of the cross-device placement matrix: the
@@ -1807,7 +1740,9 @@ pub struct DeviceMatrixRow {
     pub nodes_explored: usize,
     /// Simplex pivots spent enumerating the staircase.
     pub lp_pivots: usize,
-    /// Whether every step was solved to proven optimality.
+    /// Whether every step was solved to proven optimality — within the
+    /// solver's 1e-6 relative pruning margin, so steps closer together than
+    /// that margin can merge (see [`flashram_core::Frontier::exact`]).
     pub exact: bool,
 }
 
@@ -2013,81 +1948,103 @@ pub fn device_matrix_text(kernels: &[DeviceMatrixKernel]) -> String {
     out
 }
 
-/// Render the cross-device matrix as the `BENCH_device.json` document
-/// (hand-rolled: the build environment has no serde).
-pub fn device_matrix_json(kernels: &[DeviceMatrixKernel], failures: &[String]) -> String {
-    let mut out = String::from("{\n  \"devices\": [");
-    for (i, desc) in DEVICE_DB.all().iter().enumerate() {
-        out.push_str(&format!(
-            "{}\"{}\"",
-            if i > 0 { ", " } else { "" },
-            desc.key
-        ));
-    }
-    out.push_str("],\n  \"kernels\": [\n");
-    for (i, k) in kernels.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"benchmark\": \"{}\", \"devices\": [\n",
-            k.benchmark
-        ));
-        for (j, r) in k.rows.iter().enumerate() {
-            out.push_str(&format!(
-                concat!(
-                    "      {{\"device\": \"{}\", \"frontier_points\": {}, ",
-                    "\"spare_ram\": {}, \"baseline_energy_mj\": {:.9}, ",
-                    "\"best_energy_mj\": {:.9}, \"saving_pct\": {:.3}, ",
-                    "\"best_ram_bytes\": {}, \"best_blocks\": {}, ",
-                    "\"tight_blocks\": {}, ",
-                    "\"nodes_explored\": {}, \"lp_pivots\": {}, \"exact\": {}}}{}\n"
-                ),
-                r.device,
-                r.frontier_points,
-                r.spare_ram,
-                r.baseline_energy_mj,
-                r.best_energy_mj,
-                r.saving_pct(),
-                r.best_ram_bytes,
-                r.best_selected.len(),
-                r.tight_selected.len(),
-                r.nodes_explored,
-                r.lp_pivots,
-                r.exact,
-                if j + 1 < k.rows.len() { "," } else { "" },
-            ));
+/// The `BENCH_device.json` document of the cross-device matrix and its
+/// acceptance failures.
+pub fn device_matrix_document(kernels: &[DeviceMatrixKernel], failures: &[String]) -> Json {
+    let mj = |x: f64| Json::Fixed(x, 9);
+    let row = |r: &DeviceMatrixRow| {
+        obj! {
+            "device": r.device, "frontier_points": r.frontier_points,
+            "spare_ram": r.spare_ram, "baseline_energy_mj": mj(r.baseline_energy_mj),
+            "best_energy_mj": mj(r.best_energy_mj), "saving_pct": Json::Fixed(r.saving_pct(), 3),
+            "best_ram_bytes": r.best_ram_bytes, "best_blocks": r.best_selected.len(),
+            "tight_blocks": r.tight_selected.len(),
+            "nodes_explored": r.nodes_explored, "lp_pivots": r.lp_pivots, "exact": r.exact,
         }
-        out.push_str(&format!(
-            "    ], \"f401_diverges\": {}, \"pareto\": [\n",
-            k.f401_diverges()
-        ));
-        for (j, p) in k.pareto.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"device\": \"{}\", \"min_ram_bytes\": {}, \"energy_mj\": {:.9}}}{}\n",
-                p.device,
-                p.min_ram_bytes,
-                p.energy_mj,
-                if j + 1 < k.pareto.len() { "," } else { "" },
-            ));
+    };
+    let pareto = |p: &DevicePoint| {
+        obj! {"device": p.device, "min_ram_bytes": p.min_ram_bytes, "energy_mj": mj(p.energy_mj)}
+    };
+    let kernels = kernels.iter().map(|k| {
+        obj! {
+            "benchmark": k.benchmark, "devices": Json::Arr(k.rows.iter().map(row).collect()),
+            "f401_diverges": k.f401_diverges(),
+            "pareto": Json::Arr(k.pareto.iter().map(pareto).collect()),
         }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < kernels.len() { "," } else { "" }
-        ));
+    });
+    let devices = DEVICE_DB.all().iter().map(|d| d.key.into());
+    document(
+        "untimed: branch-and-bound nodes, pivots and model energies only",
+        obj! {
+            "devices": Json::Arr(devices.collect()),
+            "kernels": Json::Arr(kernels.collect()),
+            "failures": Json::Arr(failures.iter().map(|f| f.as_str().into()).collect()),
+        },
+    )
+}
+
+/// The `BENCH_serve.json` document of a stress run (`BENCH_serve_chaos.json`
+/// for a chaos run, which adds the `chaos` section).
+pub fn stress_document(report: &StressReport) -> Json {
+    let (ms, rate) = (|x: f64| Json::Fixed(x, 3), |x: f64| Json::Fixed(x, 4));
+    let (server, cache) = (&report.server, &report.server.cache);
+    let timeline = report.hit_rate_timeline.iter().map(|&r| rate(r));
+    let mut doc = obj! {
+        "seed": report.seed,
+        "clients": report.clients,
+        "wall_s": Json::Fixed(report.wall_s, 3),
+        "throughput_rps": Json::Fixed(report.throughput_rps, 2),
+        "latency_ms": obj! {
+            "p50": ms(report.latency_p50_ms), "p95": ms(report.latency_p95_ms),
+            "p99": ms(report.latency_p99_ms),
+        },
+        "build_ms": obj! {"p50": ms(report.build_p50_ms), "p90": ms(report.build_p90_ms)},
+        "session_hit_rate": rate(report.session_hit_rate),
+        "memo_hit_rate": rate(report.memo_hit_rate),
+        "degradation_rate": rate(report.degradation_rate),
+        "outcomes": obj! {
+            "exact": server.exact, "heuristic": server.heuristic, "timeout": server.timeout,
+        },
+        "requests": obj! {
+            "submitted": server.submitted, "completed": server.completed,
+            "errors": server.errors,
+        },
+        "cache": obj! {
+            "hits": cache.hits, "misses": cache.misses, "evictions": cache.evictions,
+            "collisions": cache.collisions, "quarantined": cache.quarantined,
+        },
+        "equivalence": obj! {
+            "checked": report.equivalence_checked, "failures": report.equivalence_failures,
+        },
+        "validation": obj! {
+            "simulated": report.validated, "failures": report.validation_failures,
+        },
+        "hit_rate_timeline": Json::Arr(timeline.collect()),
+        "failures": report.failures.len(),
+    };
+    if let (Json::Obj(fields), Some(chaos)) = (&mut doc, &report.chaos) {
+        let sites = chaos
+            .sites
+            .iter()
+            .map(|(name, hits, fired)| (name.clone(), obj! {"hits": *hits, "fired": *fired}));
+        let chaos = obj! {
+            "seed": chaos.seed, "rate_per_mille": chaos.rate_per_mille,
+            "succeeded": chaos.succeeded, "failed": chaos.failed,
+            "quarantined": cache.quarantined, "worker_panics": server.worker_panics,
+            "worker_restarts": server.worker_restarts, "sites": Json::Obj(sites.collect()),
+        };
+        // Just before the closing `failures` count, where it always sat.
+        fields.insert(fields.len() - 1, ("chaos".to_string(), chaos));
     }
-    out.push_str("  ],\n  \"failures\": [\n");
-    for (i, f) in failures.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\"{}\n",
-            f.replace('"', "'"),
-            if i + 1 < failures.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let timing = "one seeded closed-loop run; latency from submission to response, \
+                  build_ms per response; nearest-rank percentiles over every request";
+    document(timing, doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashram_serve::{ChaosReport, ServerStats};
 
     #[test]
     fn device_matrix_covers_the_database_and_renders() {
@@ -2117,11 +2074,108 @@ mod tests {
         let text = device_matrix_text(&kernels);
         assert!(text.contains("stm32f401"));
         assert!(text.contains("pareto:"));
-        let json = device_matrix_json(&kernels, &failures);
-        assert!(json.contains("\"benchmark\": \"fdct\""));
-        assert!(json.contains("\"device\": \"stm32l151\""));
-        assert!(json.contains("\"f401_diverges\": true"));
-        assert!(json.contains("\"exact\": true"));
+        let doc = device_matrix_document(&kernels, &failures);
+        let kernel = &elements(&doc, "kernels")[0];
+        assert_eq!(kernel.get("benchmark"), Some(&"fdct".into()));
+        assert_eq!(kernel.get("f401_diverges"), Some(&true.into()));
+        let rows = elements(kernel, "devices");
+        let devices: Vec<_> = rows.iter().filter_map(|r| r.get("device")).collect();
+        assert!(devices.contains(&&"stm32l151".into()));
+        assert!(rows.iter().all(|r| r.get("exact") == Some(&true.into())));
+        let baseline = rows[0].get("baseline_energy_mj").map(Json::to_string);
+        assert_eq!(
+            baseline,
+            Some(format!("{:.9}", k.rows[0].baseline_energy_mj))
+        );
+        assert!(elements(&doc, "failures").is_empty());
+    }
+
+    /// The array under `key` of an object.
+    fn elements<'a>(value: &'a Json, key: &str) -> &'a [Json] {
+        match value.get(key) {
+            Some(Json::Arr(items)) => items,
+            other => panic!("{key} is not an array: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn failure_messages_are_escaped_not_rewritten() {
+        let failure = "fdct on \"stm32f401\": C:\\tmp\nsecond\tline\u{1} é".to_string();
+        let text = device_matrix_document(&[], &[failure]).to_string();
+        let escaped = r#""fdct on \"stm32f401\": C:\\tmp\nsecond\tline\u0001 é""#;
+        assert!(text.contains(escaped), "{text}");
+    }
+
+    #[test]
+    fn committed_bench_files_open_with_provenance() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for file in ["solver", "sim", "device", "serve", "serve_chaos"] {
+            let name = format!("BENCH_{file}.json");
+            let text = std::fs::read_to_string(root.join(&name)).expect(&name);
+            let header = text.lines().nth(1).unwrap_or_default();
+            assert!(
+                text.starts_with("{\n  \"provenance\": {\"commit\": \""),
+                "{name} does not open with provenance"
+            );
+            for key in ["\"nproc\": ", "\"profile\": \"", "\"timing\": \""] {
+                assert!(header.contains(key), "{name} provenance lacks {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn report_json_is_well_formed_enough() {
+        let doc = stress_document(&StressReport {
+            throughput_rps: 10.0,
+            latency_p99_ms: 3.0,
+            build_p90_ms: 0.25,
+            memo_hit_rate: 0.25,
+            hit_rate_timeline: vec![0.1, 0.5],
+            ..StressReport::default()
+        });
+        let rendered = |path: &[&str]| {
+            let value = path.iter().try_fold(&doc, |v, key| v.get(key));
+            value.map(Json::to_string)
+        };
+        assert_eq!(rendered(&["throughput_rps"]).as_deref(), Some("10.00"));
+        assert_eq!(rendered(&["latency_ms", "p99"]).as_deref(), Some("3.000"));
+        assert_eq!(rendered(&["build_ms", "p90"]).as_deref(), Some("0.250"));
+        assert_eq!(rendered(&["memo_hit_rate"]).as_deref(), Some("0.2500"));
+        let timeline = [Json::Fixed(0.1, 4), Json::Fixed(0.5, 4)];
+        assert_eq!(elements(&doc, "hit_rate_timeline"), timeline);
+        assert_eq!(rendered(&["cache", "quarantined"]).as_deref(), Some("0"));
+        assert_eq!(rendered(&["failures"]).as_deref(), Some("0"));
+        assert!(doc.get("chaos").is_none(), "no chaos section by default");
+        assert!(doc.to_string().starts_with("{\n  \"provenance\": {"));
+    }
+
+    #[test]
+    fn report_json_renders_the_chaos_section() {
+        let mut server = ServerStats {
+            worker_panics: 3,
+            worker_restarts: 1,
+            ..ServerStats::default()
+        };
+        server.cache.quarantined = 3;
+        let doc = stress_document(&StressReport {
+            server,
+            chaos: Some(ChaosReport {
+                seed: 99,
+                rate_per_mille: 50,
+                succeeded: 90,
+                failed: 10,
+                sites: vec![("ilp_panic".to_string(), 120, 4)],
+            }),
+            ..StressReport::default()
+        });
+        let chaos = doc.get("chaos").expect("chaos section");
+        assert_eq!(chaos.get("rate_per_mille"), Some(&Json::Int(50)));
+        assert_eq!(chaos.get("quarantined"), Some(&Json::Int(3)));
+        assert_eq!(chaos.get("worker_panics"), Some(&Json::Int(3)));
+        assert_eq!(chaos.get("worker_restarts"), Some(&Json::Int(1)));
+        assert!(doc
+            .to_string()
+            .contains("\"sites\": {\"ilp_panic\": {\"hits\": 120, \"fired\": 4}}"));
     }
 
     #[test]
@@ -2143,13 +2197,22 @@ mod tests {
             .rows
             .iter()
             .all(|r| r.reference_mcycles_per_s() > 0.0 && r.decoded_mcycles_per_s() > 0.0));
-        let json = sim_perf_json(&report);
-        assert!(json.contains("\"decoded_bit_identical\": true"));
-        assert!(json.contains("\"batched_bit_identical\": true"));
-        assert!(json.contains("\"decode_speedup\""));
-        assert!(json.contains("\"reference_mcycles_per_s\""));
-        assert!(json.contains("\"decoded_mcycles_per_s\""));
-        assert!(json.contains("\"benchmark\": \"int_matmult\""));
+        let doc = sim_perf_document(&report);
+        assert_eq!(doc.get("decoded_bit_identical"), Some(&true.into()));
+        assert_eq!(doc.get("batched_bit_identical"), Some(&true.into()));
+        let speedup = Json::Fixed(report.decode_speedup(), 3);
+        assert_eq!(doc.get("decode_speedup"), Some(&speedup));
+        assert_eq!(doc.get("total_cycles"), Some(&report.total_cycles.into()));
+        let runs = elements(&doc, "runs");
+        let row = &runs[report
+            .rows
+            .iter()
+            .position(|r| r.benchmark == "int_matmult")
+            .unwrap()];
+        assert_eq!(row.get("benchmark"), Some(&"int_matmult".into()));
+        for key in ["reference_mcycles_per_s", "decoded_mcycles_per_s"] {
+            assert!(matches!(row.get(key), Some(Json::Fixed(x, 1)) if *x > 0.0));
+        }
     }
 
     #[test]

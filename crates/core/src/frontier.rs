@@ -88,7 +88,11 @@ pub struct SweepPoint {
     /// the previous point) rather than solved cold.
     pub chained: bool,
     /// Whether the solve ran to proven optimality (no node-budget
-    /// exhaustion, no LP-iteration-limited subtree).
+    /// exhaustion, no LP-iteration-limited subtree).  Proven means optimal
+    /// within branch-and-bound's relative pruning margin
+    /// ([`BranchBound::tolerance`](flashram_ilp::BranchBound::tolerance),
+    /// 1e-6 × |incumbent|): the objective can sit up to one margin above
+    /// the true optimum.
     pub proven: bool,
 }
 
@@ -557,6 +561,11 @@ pub struct Frontier {
     /// Whether every step was solved to proven optimality; `false` means a
     /// node budget or LP iteration limit truncated some solve and the
     /// staircase may be an over-approximation.
+    ///
+    /// Exact is relative to branch-and-bound's pruning margin (1e-6 ×
+    /// |incumbent|, see [`SweepPoint::proven`]): each step is optimal only
+    /// within that margin, and steps whose objectives lie closer together
+    /// than the margin can merge into one.
     pub exact: bool,
     /// Tie placements dropped because an equal-energy step already existed
     /// at a smaller RAM budget (solver tie-break artifacts).

@@ -147,7 +147,10 @@ pub struct BranchBound {
     pub lp: SimplexSolver,
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Integrality tolerance.
+    /// Integrality tolerance, and the relative pruning margin: a node is
+    /// pruned unless its bound improves on the incumbent by more than
+    /// `tolerance × max(|incumbent|, 1)`, so a proven optimum is optimal
+    /// within that margin.
     pub tolerance: f64,
     /// Warm-start child nodes with the dual simplex from the parent basis
     /// (on by default; disable for the cold reference path that tests and

@@ -19,17 +19,19 @@
 //!   request — see the [`server`] module docs for why concurrent results
 //!   are provably bit-identical to sequential ones.
 //!
-//! Two binaries ship with the crate: `serve`, a line-oriented REPL over
-//! the preregistered BEEBS kernels, and `stress`, the seeded workload
-//! driver that writes `BENCH_serve.json` (see [`workload`]).
+//! The crate ships `serve`, a line-oriented REPL over the preregistered
+//! BEEBS kernels.  The seeded workload driver lives in [`workload`]; the
+//! `stress` binary of `flashram-bench` runs it and writes
+//! `BENCH_serve.json`.
 //!
 //! Failures are contained, not propagated: worker panics become
 //! [`ServeError::SolverPanicked`] responses with the touched cache entry
 //! quarantined, poisoned locks are repaired or drained with zero leaked
 //! tickets, and an optional watchdog respawns wedged workers.  The
 //! `fault-injection` cargo feature compiles deterministic failpoints
-//! through the whole solver stack and a `--chaos` mode into `stress` —
-//! see the [`server`] module docs' *Fault containment* section.
+//! through the whole solver stack, which the `--chaos` mode of `stress`
+//! exercises — see the [`server`] module docs' *Fault containment*
+//! section.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,6 +47,5 @@ pub use flashram_ilp::fault::{FaultPlan, FaultSite};
 pub use request::{Outcome, Query, Request, Response, ServeError};
 pub use server::{PlacementServer, ServerConfig, ServerStats, Ticket};
 pub use workload::{
-    run_stress, stress_report_json, ChaosConfig, ChaosReport, StressConfig, StressReport,
-    WorkloadShape,
+    run_stress, ChaosConfig, ChaosReport, StressConfig, StressReport, WorkloadShape,
 };

@@ -152,7 +152,14 @@ pub struct Response {
     /// without re-solving.
     pub memo_hit: bool,
     /// Time from admission to the start of solving, in milliseconds.
+    /// It includes [`build_ms`](Response::build_ms).
     pub queue_ms: f64,
+    /// Wall time of the session build the request's batch paid before
+    /// solving, in milliseconds; 0 when the batch found the session already
+    /// built.  This is not `!session_hit`: a request admitted after its
+    /// cache entry was created, but before a worker first claimed it, rides
+    /// in the batch that builds.
+    pub build_ms: f64,
     /// Time spent solving (0 for memo hits), in milliseconds.
     pub solve_ms: f64,
     /// Whether a deterministic fault-injection failpoint (the

@@ -212,21 +212,6 @@ struct Job {
     tx: mpsc::Sender<Result<Response, ServeError>>,
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: u64,
-    completed: u64,
-    errors: u64,
-    exact: u64,
-    heuristic: u64,
-    timeout: u64,
-    session_hits: u64,
-    session_misses: u64,
-    memo_hits: u64,
-    worker_panics: u64,
-    worker_restarts: u64,
-}
-
 /// The senders of a batch a worker is currently solving, kept so the
 /// watchdog (or a drain) can fail the jobs without the worker's help.  A
 /// send on a channel whose job the worker later also answers is harmless:
@@ -255,7 +240,9 @@ struct State {
     abandoned: HashSet<u64>,
     /// Next batch id (starts at 1 — 0 means "idle" in a worker slot).
     next_batch: u64,
-    counters: Counters,
+    /// The monotone counters; `cache`, `queued` and `draining` are filled
+    /// in by [`PlacementServer::stats`] from their owners above.
+    counters: ServerStats,
 }
 
 /// One worker incarnation's liveness record.  The watchdog replaces the
@@ -491,7 +478,7 @@ impl PlacementServer {
                 inflight: HashMap::new(),
                 abandoned: HashSet::new(),
                 next_batch: 1,
-                counters: Counters::default(),
+                counters: ServerStats::default(),
             }),
             work: Condvar::new(),
             space: Condvar::new(),
@@ -563,20 +550,10 @@ impl PlacementServer {
     pub fn stats(&self) -> ServerStats {
         let st = self.shared.lock_state();
         ServerStats {
-            submitted: st.counters.submitted,
-            completed: st.counters.completed,
-            errors: st.counters.errors,
-            exact: st.counters.exact,
-            heuristic: st.counters.heuristic,
-            timeout: st.counters.timeout,
-            session_hits: st.counters.session_hits,
-            session_misses: st.counters.session_misses,
-            memo_hits: st.counters.memo_hits,
-            worker_panics: st.counters.worker_panics,
-            worker_restarts: st.counters.worker_restarts,
             cache: st.cache.stats(),
             queued: st.queued,
             draining: st.draining,
+            ..st.counters
         }
     }
 
@@ -985,13 +962,17 @@ fn solve_batch(
 ) -> BatchTally {
     let mut tally = BatchTally::default();
     let mut jobs = jobs.into_iter();
+    let mut build_ms = 0.0;
     let setup = contain(|| {
         #[cfg(feature = "fault-injection")]
         if fault::should_fire(FaultSite::ServeClaimPanic) {
             panic!("{} worker panic at batch claim", fault::INJECTED_MARKER);
         }
         if state.session.is_none() {
-            build_session(cfg, key, program, state)
+            let started = Instant::now();
+            let built = build_session(cfg, key, program, state);
+            build_ms = started.elapsed().as_secs_f64() * 1e3;
+            built
         } else {
             Ok(())
         }
@@ -1027,6 +1008,7 @@ fn solve_batch(
                 session_hit: job.session_hit,
                 memo_hit: true,
                 queue_ms,
+                build_ms,
                 solve_ms: 0.0,
                 injected: false,
             }));
@@ -1065,6 +1047,7 @@ fn solve_batch(
                     session_hit: job.session_hit,
                     memo_hit: false,
                     queue_ms,
+                    build_ms,
                     solve_ms,
                     injected,
                 }));
@@ -1329,6 +1312,25 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.completed, stats.submitted, "zero leaked tickets");
         assert_eq!(stats.queued, 0);
+    }
+
+    #[test]
+    fn build_ms_is_paid_by_the_building_batch_only() {
+        let server = small_server();
+        let first = server
+            .solve(Request::point("tiny", "stm32f100", 64, 2.0))
+            .expect("first solve");
+        assert!(!first.session_hit);
+        assert!(first.build_ms > 0.0, "the first batch builds the session");
+        assert!(
+            first.queue_ms >= first.build_ms,
+            "queue_ms includes the build"
+        );
+        let repeat = server
+            .solve(Request::point("tiny", "stm32f100", 32, 2.0))
+            .expect("repeat solve");
+        assert!(repeat.session_hit);
+        assert_eq!(repeat.build_ms, 0.0, "the session was already built");
     }
 
     #[test]

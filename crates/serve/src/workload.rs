@@ -11,7 +11,8 @@
 //! responses two ways — bit-identical re-solve through a sequential
 //! [`PlacementSession`], and simulation of the transformed program against
 //! the unmodified baseline via [`BatchRunner::validate_against`] — and
-//! renders the numbers as the `BENCH_serve.json` document.
+//! returns the numbers as a [`StressReport`] (the `stress` binary of
+//! `flashram-bench` writes it to `BENCH_serve.json`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -167,13 +168,9 @@ pub struct ChaosReport {
     pub succeeded: u64,
     /// Requests that terminated with an error (injected or otherwise).
     /// `succeeded + failed == submitted` is the zero-leak invariant.
+    /// Quarantines, contained panics and watchdog restarts are in
+    /// [`StressReport::server`].
     pub failed: u64,
-    /// Cache entries quarantined after contained panics / watchdog kills.
-    pub quarantined: u64,
-    /// Panics contained by the per-batch isolation.
-    pub worker_panics: u64,
-    /// Workers the watchdog presumed wedged and respawned.
-    pub worker_restarts: u64,
     /// Per-failpoint `(name, times reached, times fired)`.
     pub sites: Vec<(String, u64, u64)>,
 }
@@ -250,7 +247,7 @@ struct Sample {
 }
 
 /// The measured result of a [`run_stress`] call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StressReport {
     /// The seed the run was generated from.
     pub seed: u64,
@@ -267,6 +264,12 @@ pub struct StressReport {
     pub latency_p95_ms: f64,
     /// 99th percentile latency.
     pub latency_p99_ms: f64,
+    /// Median of [`Response::build_ms`](crate::Response::build_ms) over
+    /// the answered requests: the session build each request's batch paid
+    /// (0 when the session was already built).
+    pub build_p50_ms: f64,
+    /// 90th percentile of the same.
+    pub build_p90_ms: f64,
     /// Fraction of admissions that found their session cached.
     pub session_hit_rate: f64,
     /// Fraction of responses answered from a memo table.
@@ -440,6 +443,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
     let programs = register_kernels(&server, &cfg.shape, cfg.opt_level);
 
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::new());
+    let builds: Mutex<Vec<f64>> = Mutex::new(Vec::new());
     let samples: Mutex<Vec<Sample>> = Mutex::new(Vec::new());
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let timeline: Mutex<Vec<f64>> = Mutex::new(Vec::new());
@@ -450,12 +454,14 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         for client in 0..cfg.clients {
             let server = &server;
             let latencies = &latencies;
+            let builds = &builds;
             let samples = &samples;
             let errors = &errors;
             let timeline = &timeline;
             scope.spawn(move || {
                 let mut rng = cfg.seed ^ (client as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let mut local_latency = Vec::new();
+                let mut local_build = Vec::new();
                 let mut local_samples = Vec::new();
                 let mut step = 0usize;
                 loop {
@@ -496,6 +502,7 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
                     local_latency.push(submitted.elapsed().as_secs_f64() * 1e3);
                     match response {
                         Ok(response) => {
+                            local_build.push(response.build_ms);
                             // Injected-degraded answers are excluded from
                             // the bit-identity sample: they are not the
                             // pure function of the request the fault-free
@@ -533,6 +540,10 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
                     .lock()
                     .expect("stress latency lock")
                     .extend(local_latency);
+                builds
+                    .lock()
+                    .expect("stress build-time lock")
+                    .extend(local_build);
                 samples
                     .lock()
                     .expect("stress sample lock")
@@ -663,8 +674,13 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         }
     }
 
-    let mut sorted = latencies.into_inner().expect("stress latency lock");
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    let sorted_ms = |times: Mutex<Vec<f64>>| {
+        let mut times = times.into_inner().expect("stress timing lock");
+        times.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+        times
+    };
+    let sorted = sorted_ms(latencies);
+    let builds = sorted_ms(builds);
     let admissions = stats.session_hits + stats.session_misses;
     let answered = stats.completed;
     #[cfg(feature = "fault-injection")]
@@ -676,9 +692,6 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
             rate_per_mille: chaos.rate_per_mille,
             succeeded: stats.completed - stats.errors,
             failed: stats.errors,
-            quarantined: stats.cache.quarantined,
-            worker_panics: stats.worker_panics,
-            worker_restarts: stats.worker_restarts,
             sites: plan
                 .snapshot()
                 .iter()
@@ -699,6 +712,8 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         latency_p50_ms: percentile(&sorted, 0.50),
         latency_p95_ms: percentile(&sorted, 0.95),
         latency_p99_ms: percentile(&sorted, 0.99),
+        build_p50_ms: percentile(&builds, 0.50),
+        build_p90_ms: percentile(&builds, 0.90),
         session_hit_rate: if admissions > 0 {
             stats.session_hits as f64 / admissions as f64
         } else {
@@ -723,99 +738,6 @@ pub fn run_stress(cfg: &StressConfig) -> StressReport {
         failures,
         chaos,
     }
-}
-
-/// Render a [`StressReport`] as the `BENCH_serve.json` document.
-pub fn stress_report_json(report: &StressReport) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"seed\": {},\n", report.seed));
-    out.push_str(&format!("  \"clients\": {},\n", report.clients));
-    out.push_str(&format!("  \"wall_s\": {:.3},\n", report.wall_s));
-    out.push_str(&format!(
-        "  \"throughput_rps\": {:.2},\n",
-        report.throughput_rps
-    ));
-    out.push_str(&format!(
-        "  \"latency_ms\": {{ \"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3} }},\n",
-        report.latency_p50_ms, report.latency_p95_ms, report.latency_p99_ms
-    ));
-    out.push_str(&format!(
-        "  \"session_hit_rate\": {:.4},\n",
-        report.session_hit_rate
-    ));
-    out.push_str(&format!(
-        "  \"memo_hit_rate\": {:.4},\n",
-        report.memo_hit_rate
-    ));
-    out.push_str(&format!(
-        "  \"degradation_rate\": {:.4},\n",
-        report.degradation_rate
-    ));
-    out.push_str(&format!(
-        "  \"outcomes\": {{ \"exact\": {}, \"heuristic\": {}, \"timeout\": {} }},\n",
-        report.server.exact, report.server.heuristic, report.server.timeout
-    ));
-    out.push_str(&format!(
-        "  \"requests\": {{ \"submitted\": {}, \"completed\": {}, \"errors\": {} }},\n",
-        report.server.submitted, report.server.completed, report.server.errors
-    ));
-    out.push_str(&format!(
-        "  \"cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"collisions\": {}, \
-         \"quarantined\": {} }},\n",
-        report.server.cache.hits,
-        report.server.cache.misses,
-        report.server.cache.evictions,
-        report.server.cache.collisions,
-        report.server.cache.quarantined
-    ));
-    out.push_str(&format!(
-        "  \"equivalence\": {{ \"checked\": {}, \"failures\": {} }},\n",
-        report.equivalence_checked, report.equivalence_failures
-    ));
-    out.push_str(&format!(
-        "  \"validation\": {{ \"simulated\": {}, \"failures\": {} }},\n",
-        report.validated, report.validation_failures
-    ));
-    let timeline: Vec<String> = report
-        .hit_rate_timeline
-        .iter()
-        .map(|r| format!("{r:.4}"))
-        .collect();
-    out.push_str(&format!(
-        "  \"hit_rate_timeline\": [{}],\n",
-        timeline.join(", ")
-    ));
-    if let Some(chaos) = &report.chaos {
-        out.push_str("  \"chaos\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", chaos.seed));
-        out.push_str(&format!(
-            "    \"rate_per_mille\": {},\n",
-            chaos.rate_per_mille
-        ));
-        out.push_str(&format!("    \"succeeded\": {},\n", chaos.succeeded));
-        out.push_str(&format!("    \"failed\": {},\n", chaos.failed));
-        out.push_str(&format!("    \"quarantined\": {},\n", chaos.quarantined));
-        out.push_str(&format!(
-            "    \"worker_panics\": {},\n",
-            chaos.worker_panics
-        ));
-        out.push_str(&format!(
-            "    \"worker_restarts\": {},\n",
-            chaos.worker_restarts
-        ));
-        let sites: Vec<String> = chaos
-            .sites
-            .iter()
-            .map(|(name, hits, fired)| {
-                format!("\"{name}\": {{ \"hits\": {hits}, \"fired\": {fired} }}")
-            })
-            .collect();
-        out.push_str(&format!("    \"sites\": {{ {} }}\n", sites.join(", ")));
-        out.push_str("  },\n");
-    }
-    out.push_str(&format!("  \"failures\": {}\n", report.failures.len()));
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -849,76 +771,5 @@ mod tests {
         assert_eq!(percentile(&sorted, 0.50), 51.0);
         assert_eq!(percentile(&sorted, 0.99), 99.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn report_json_is_well_formed_enough() {
-        let report = StressReport {
-            seed: 1,
-            clients: 2,
-            wall_s: 1.0,
-            throughput_rps: 10.0,
-            latency_p50_ms: 1.0,
-            latency_p95_ms: 2.0,
-            latency_p99_ms: 3.0,
-            session_hit_rate: 0.5,
-            memo_hit_rate: 0.25,
-            degradation_rate: 0.0,
-            hit_rate_timeline: vec![0.1, 0.5],
-            server: ServerStats::default(),
-            equivalence_checked: 4,
-            equivalence_failures: 0,
-            validated: 4,
-            validation_failures: 0,
-            failures: vec![],
-            chaos: None,
-        };
-        let json = stress_report_json(&report);
-        assert!(json.starts_with("{\n") && json.ends_with("}\n"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"throughput_rps\": 10.00"));
-        assert!(json.contains("\"p99\": 3.000"));
-        assert!(json.contains("\"hit_rate_timeline\": [0.1000, 0.5000]"));
-        assert!(json.contains("\"quarantined\": 0"));
-        assert!(!json.contains("\"chaos\""), "no chaos section by default");
-    }
-
-    #[test]
-    fn report_json_renders_the_chaos_section() {
-        let mut report = StressReport {
-            seed: 1,
-            clients: 2,
-            wall_s: 1.0,
-            throughput_rps: 10.0,
-            latency_p50_ms: 1.0,
-            latency_p95_ms: 2.0,
-            latency_p99_ms: 3.0,
-            session_hit_rate: 0.5,
-            memo_hit_rate: 0.25,
-            degradation_rate: 0.0,
-            hit_rate_timeline: vec![],
-            server: ServerStats::default(),
-            equivalence_checked: 0,
-            equivalence_failures: 0,
-            validated: 0,
-            validation_failures: 0,
-            failures: vec![],
-            chaos: None,
-        };
-        report.chaos = Some(ChaosReport {
-            seed: 99,
-            rate_per_mille: 50,
-            succeeded: 90,
-            failed: 10,
-            quarantined: 3,
-            worker_panics: 3,
-            worker_restarts: 1,
-            sites: vec![("ilp_panic".to_string(), 120, 4)],
-        });
-        let json = stress_report_json(&report);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"chaos\": {"));
-        assert!(json.contains("\"rate_per_mille\": 50"));
-        assert!(json.contains("\"ilp_panic\": { \"hits\": 120, \"fired\": 4 }"));
     }
 }
