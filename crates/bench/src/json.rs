@@ -144,7 +144,8 @@ fn escape(s: &str, out: &mut String) {
 /// (an object).
 ///
 /// The header records the checkout's commit (read from `.git` in the
-/// working directory, as the repository benchmark reads it), the host's CPU
+/// working directory, as the repository benchmark reads it, with `+modified`
+/// appended when git lists a change to a tracked file), the host's CPU
 /// count, the build profile, and `timing`, the harness's own one-line
 /// statement of how its wall times were taken.
 pub(crate) fn document(timing: &str, body: Json) -> Json {
@@ -163,8 +164,28 @@ pub(crate) fn document(timing: &str, body: Json) -> Json {
     Json::Obj(std::iter::once(header).chain(fields).collect())
 }
 
-/// The commit of the checkout, read from `.git` when there is one.
+/// The commit of the checkout, marked `+modified` when its tracked files
+/// differ from it.  A tree git cannot inspect keeps the bare commit.
 fn commit() -> String {
+    let head = head_commit();
+    let status = std::process::Command::new("git")
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .output();
+    match status {
+        Ok(out) if out.status.success() && lists_change(&String::from_utf8_lossy(&out.stdout)) => {
+            format!("{head}+modified")
+        }
+        _ => head,
+    }
+}
+
+/// Whether `git status --porcelain` output names any changed path.
+fn lists_change(porcelain: &str) -> bool {
+    porcelain.lines().any(|line| !line.trim().is_empty())
+}
+
+/// The commit `.git/HEAD` names, when there is a `.git`.
+fn head_commit() -> String {
     let Ok(head) = std::fs::read_to_string(".git/HEAD") else {
         return "unknown (no .git)".to_string();
     };
@@ -229,5 +250,14 @@ mod tests {
                         {\"x\": true, \"ys\": [\n      2\n    ]},\n    {}\n  ]\n}";
         assert_eq!(doc.to_string(), expected);
         assert_eq!(obj! {}.to_string(), "{}");
+    }
+
+    #[test]
+    fn porcelain_output_with_a_path_marks_the_tree_modified() {
+        assert!(!lists_change(""));
+        assert!(!lists_change("\n"));
+        assert!(lists_change(" M crates/ilp/src/basis.rs\n"));
+        assert!(lists_change("M  README.md\nD  old.txt\n"));
+        assert!(lists_change("R  a.rs -> b.rs\n"));
     }
 }

@@ -297,10 +297,11 @@ const CUT_DEPTH: usize = 2;
 /// (cover cuts plus tightened knapsack copies).
 const MAX_CUTS: usize = 24;
 
-/// Approximate heap footprint of one [`LpState`] snapshot.
+/// Approximate heap footprint of one [`LpState`] snapshot: the stored
+/// (nonbasic) tableau entries plus the per-row and per-column vectors.
 fn state_bytes(state: &LpState) -> usize {
-    let (rows, cols) = (state.num_rows(), state.num_cols());
-    8 * (rows * cols + 2 * rows + 4 * cols)
+    let (rows, cols, width) = (state.num_rows(), state.num_cols(), state.width());
+    8 * (rows * width + 2 * rows + 5 * cols + width)
 }
 
 fn is_integral(solution: &Solution, binaries: &[Var], tol: f64) -> bool {
@@ -454,6 +455,12 @@ impl BranchBound {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
+        // Whether a bound is worth exploring against the incumbent: strictly
+        // better by more than the relative pruning margin.
+        let improves = |bound: f64, best: f64| {
+            let margin = self.tolerance * best.abs().max(1.0);
+            problem.is_better(bound, best) && (bound - best).abs() > margin
+        };
 
         // Knapsack analysis: presolve fixings/tightenings and the rows cover
         // separation will scan.  Everything derived here is valid only at
@@ -516,16 +523,13 @@ impl BranchBound {
             // Best-bound queues hold nodes long after their bound went
             // stale; prune against the current incumbent before paying for
             // an LP solve.  (The root is exempt: its "bound" is a sentinel.)
-            if node.depth > 0 {
-                if let Some(best) = &incumbent {
-                    let margin = self.tolerance * best.objective.abs().max(1.0);
-                    let improves = problem.is_better(node.bound, best.objective)
-                        && (node.bound - best.objective).abs() > margin;
-                    if !improves {
-                        stats.nodes_pruned += 1;
-                        continue;
-                    }
-                }
+            if node.depth > 0
+                && incumbent
+                    .as_ref()
+                    .is_some_and(|best| !improves(node.bound, best.objective))
+            {
+                stats.nodes_pruned += 1;
+                continue;
             }
             // The wall-clock budget outranks every other stopping rule: an
             // expired deadline ends the search immediately, chained or not,
@@ -718,14 +722,12 @@ impl BranchBound {
             // incumbent.  Ties must be pruned too — the placement models are
             // massively degenerate, and exploring equal-bound nodes can only
             // rediscover equally good solutions at exponential cost.
-            if let Some(best) = &incumbent {
-                let margin = self.tolerance * best.objective.abs().max(1.0);
-                let improves = problem.is_better(relaxed.objective, best.objective)
-                    && (relaxed.objective - best.objective).abs() > margin;
-                if !improves {
-                    stats.nodes_pruned += 1;
-                    continue;
-                }
+            if incumbent
+                .as_ref()
+                .is_some_and(|best| !improves(relaxed.objective, best.objective))
+            {
+                stats.nodes_pruned += 1;
+                continue;
             }
 
             // Pseudo-cost branching: among the fractional binaries, pick the
@@ -758,6 +760,20 @@ impl BranchBound {
                         .as_ref()
                         .is_none_or(|best| problem.is_better(objective, best.objective));
                     if better {
+                        // Drop the queued nodes the new incumbent dominates
+                        // now rather than when they are popped: they hold
+                        // warm-start snapshots until then.  The incumbent only
+                        // improves, so each would be pruned on popping, and
+                        // the pop order of the rest is unchanged.
+                        let queued = open.len();
+                        open.retain(|entry| {
+                            let keep = improves(entry.node.bound, objective);
+                            if !keep && entry.node.parent_state.is_some() {
+                                retained_entries -= 1;
+                            }
+                            keep
+                        });
+                        stats.nodes_pruned += queued - open.len();
                         incumbent = Some(candidate);
                     }
                 }
@@ -1306,6 +1322,34 @@ mod tests {
             warm_per_node < cold_per_node,
             "warm {warm_per_node:.2} pivots/node vs cold {cold_per_node:.2}"
         );
+    }
+
+    #[test]
+    fn an_early_incumbent_that_dominates_nothing_changes_nothing() {
+        // Seeded with the empty selection (objective 0, below every node
+        // bound), the search prunes and fixes nothing the unseeded search
+        // would not; the first integer point replaces the seed in both runs
+        // and drops the dominated queued nodes.  Nodes dropped from the queue
+        // count as pruned exactly as if they had been pruned when popped.
+        let p = branching_instance();
+        let empty = Solution {
+            values: vec![0.0; p.num_vars()],
+            objective: 0.0,
+        };
+        let solver = BranchBound::new();
+        let plain = solver.solve_chained(&p, None, None).unwrap();
+        let early = solver.solve_chained(&p, None, Some(&empty)).unwrap();
+        assert!(early.stats.seeded && !plain.stats.seeded);
+        let comparable = |stats: BranchBoundStats| BranchBoundStats {
+            seeded: false,
+            wall_ms: 0.0,
+            ..stats
+        };
+        assert_eq!(comparable(early.stats), comparable(plain.stats));
+        assert!(plain.stats.nodes_pruned > 0, "the instance must prune");
+        assert_eq!(early.solution, plain.solution);
+        let exact = crate::ExhaustiveSolver::new().solve(&p).unwrap();
+        assert_close(plain.solution.objective, exact.objective);
     }
 
     #[test]

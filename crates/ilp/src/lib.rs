@@ -7,8 +7,9 @@
 //!
 //! * a [`Problem`] builder for linear models over continuous and binary
 //!   variables ([`problem`]),
-//! * a dense **bounded-variable simplex** solver for the LP relaxation —
-//!   variable bounds live in the ratio test, not in extra rows — with two
+//! * a **bounded-variable simplex** solver for the LP relaxation over a
+//!   dense tableau of the nonbasic columns only — variable bounds live in
+//!   the ratio test, not in extra rows — with two
 //!   dual-simplex warm restarts: [`SimplexSolver::resolve`] after bound
 //!   fixings or appended rows, and [`SimplexSolver::reenter`] after
 //!   right-hand sides moved ([`simplex`]),

@@ -1,4 +1,4 @@
-//! A dense bounded-variable simplex solver for the LP relaxation.
+//! A bounded-variable simplex solver for the LP relaxation.
 //!
 //! Variable bounds `l ≤ x ≤ u` are handled **natively** in the ratio test
 //! (nonbasic variables may rest at either bound and can "bound-flip" without
@@ -8,9 +8,12 @@
 //! relaxation solve by roughly 3× in rows compared with the earlier
 //! formulation that added one `x ≤ u` row per binary.
 //!
-//! The solver is still deliberately dense and straightforward — the
-//! flash/RAM placement models are a few hundred variables and constraints —
-//! with Dantzig pricing and an anti-cycling fallback to Bland's rule that is
+//! The tableau is dense but holds only the nonbasic columns of `B⁻¹A` (see
+//! [`LpState`]): a basic column is the unit vector of its row, so a pivot
+//! updates and a warm-start clone copies `rows × (cols − rows)` entries
+//! instead of `rows × cols`.  The flash/RAM placement models are a few
+//! hundred variables and constraints, so there is no factorization — just
+//! Dantzig pricing and an anti-cycling fallback to Bland's rule that is
 //! triggered by *detected degeneracy* (a long run of zero-progress pivots)
 //! and resets whenever the objective moves, so a long phase 1 can never
 //! leave phase 2 stuck in slow Bland mode.
@@ -272,9 +275,7 @@ impl SimplexSolver {
             if !st.is_basic(j) {
                 let delta = *val - old;
                 if delta != 0.0 {
-                    for (xb, row) in st.xb.iter_mut().zip(&st.a) {
-                        *xb -= row[j] * delta;
-                    }
+                    st.shift_by_column(j, delta);
                 }
                 st.at_upper[j] = false;
             }
@@ -298,7 +299,8 @@ impl SimplexSolver {
     /// keeps the shift — and therefore the dual-repair work — minimal.
     ///
     /// An RHS change moves the basic variables by `B⁻¹·Δb` (read off the
-    /// slack columns of the tableau) and leaves the reduced costs untouched,
+    /// slack columns of the tableau — a basic slack's column is the unit
+    /// vector of its row) and leaves the reduced costs untouched,
     /// so — exactly as for bound tightenings — the old basis stays dual
     /// feasible.  The deltas are computed against the right-hand sides
     /// recorded in the state, so the caller only mutates the problem and
@@ -348,9 +350,7 @@ impl SimplexSolver {
                 let target = if to_upper { nup } else { nlo };
                 let delta = target - old;
                 if delta != 0.0 {
-                    for (xb, row) in st.xb.iter_mut().zip(&st.a) {
-                        *xb -= row[j] * delta;
-                    }
+                    st.shift_by_column(j, delta);
                 }
                 st.at_upper[j] = to_upper;
             }
@@ -375,10 +375,7 @@ impl SimplexSolver {
                 // against the same sign on the right-hand side), so the
                 // current slack column *is* `B⁻¹·e_row` and the basic values
                 // shift by `delta` times it.
-                let slack = st.n + row;
-                for (xb, a_row) in st.xb.iter_mut().zip(&st.a) {
-                    *xb += delta * a_row[slack];
-                }
+                st.shift_by_column(st.n + row, -delta);
                 st.rhs[row] = c.rhs;
             }
         }
@@ -473,28 +470,43 @@ impl SimplexSolver {
         let artificial_start = n + m;
         let cols = artificial_start + num_art;
 
-        let mut a = vec![vec![0.0; cols]; m];
+        // Stored columns: every structural, plus the slack of each row that
+        // starts with its artificial basic.  The initial basis — the other
+        // slacks and every artificial — is unit columns, never stored.
+        let mut nonbasic: Vec<usize> = (0..n).collect();
+        nonbasic.extend(
+            (0..m)
+                .filter(|&i| needs_artificial[i])
+                .map(|i| slack_start + i),
+        );
+        let width = nonbasic.len();
+        debug_assert_eq!(width, cols - m);
+        let mut pos_of = vec![usize::MAX; cols];
+        for (pos, &j) in nonbasic.iter().enumerate() {
+            pos_of[j] = pos;
+        }
+
+        let mut a = vec![0.0; m * width];
         let mut xb = vec![0.0; m];
         let mut basis = vec![0usize; m];
         let mut at_upper = vec![false; cols];
         let mut next_art = artificial_start;
         for (i, coeffs) in rows.into_iter().enumerate() {
-            a[i][..n].copy_from_slice(&coeffs);
+            let row = &mut a[i * width..(i + 1) * width];
+            row[..n].copy_from_slice(&coeffs);
             let s = slack_start + i;
-            a[i][s] = 1.0;
             if needs_artificial[i] {
                 // Park the slack at the bound nearest the residual and give
                 // the artificial the (positive) remainder.
                 let clamped = residuals[i].max(lo[s]).min(up[s]);
                 at_upper[s] = (clamped - up[s]).abs() <= (clamped - lo[s]).abs();
                 let remainder = residuals[i] - clamped;
-                let sigma = if remainder >= 0.0 { 1.0 } else { -1.0 };
-                if sigma < 0.0 {
-                    for v in a[i].iter_mut() {
+                row[pos_of[s]] = 1.0;
+                if remainder < 0.0 {
+                    for v in row.iter_mut() {
                         *v = -*v;
                     }
                 }
-                a[i][next_art] = 1.0;
                 xb[i] = remainder.abs();
                 basis[i] = next_art;
                 lo.push(0.0);
@@ -526,6 +538,8 @@ impl SimplexSolver {
 
         LpState {
             a,
+            nonbasic,
+            pos_of,
             xb,
             basis,
             row_of,
@@ -549,13 +563,14 @@ impl SimplexSolver {
         if st.num_artificials() > 0 {
             // Phase-1 reduced costs: minimize the sum of artificials.  The
             // artificial rows are identity on their artificial, so the
-            // reduced cost of column j is 1[j artificial] − Σ_art-rows a[r][j].
+            // reduced cost of column j is 1[j artificial] − Σ_art-rows a[r][j]:
+            // zero for every (basic) artificial, and only stored columns
+            // have a nonzero sum.
             let mut d1 = vec![0.0; st.cols];
-            d1[st.artificial_start..].fill(1.0);
             for (row, &b) in st.basis.iter().enumerate() {
                 if b >= st.artificial_start {
-                    for (dj, aj) in d1.iter_mut().zip(&st.a[row]) {
-                        *dj -= aj;
+                    for (&j, aj) in st.nonbasic.iter().zip(st.row(row)) {
+                        d1[j] -= aj;
                     }
                 }
             }
@@ -587,8 +602,9 @@ impl SimplexSolver {
             // are all ~0 is redundant and may keep its artificial.
             for row in 0..st.num_rows() {
                 if st.basis[row] >= st.artificial_start {
-                    let col = (0..st.artificial_start)
-                        .find(|&j| !st.is_basic(j) && st.a[row][j].abs() > self.tolerance);
+                    let col = (0..st.artificial_start).find(|&j| {
+                        !st.is_basic(j) && st.row(row)[st.pos_of[j]].abs() > self.tolerance
+                    });
                     if let Some(col) = col {
                         let value = st.value_of(col);
                         self.do_pivot(&mut st, row, col, value, false, None);
@@ -681,8 +697,9 @@ impl SimplexSolver {
             // (a bound flip — no pivot needed).
             let mut limit = st.up[enter] - st.lo[enter];
             let mut leave: Option<(usize, bool)> = None;
+            let pos = st.pos_of[enter];
             for row in 0..st.num_rows() {
-                let w = t * st.a[row][enter];
+                let w = t * st.row(row)[pos];
                 let b = st.basis[row];
                 let (room, hits_upper) = if w > self.tolerance {
                     (st.xb[row] - st.lo[b], false)
@@ -704,7 +721,7 @@ impl SimplexSolver {
                             if use_bland {
                                 st.basis[row] < st.basis[lr]
                             } else {
-                                st.a[row][enter].abs() > st.a[lr][enter].abs()
+                                st.row(row)[pos].abs() > st.row(lr)[pos].abs()
                             }
                         }
                     };
@@ -722,9 +739,7 @@ impl SimplexSolver {
                 None => {
                     // Bound flip: the entering variable runs to its other
                     // bound; only the basic values move.
-                    for (xb, row) in st.xb.iter_mut().zip(&st.a) {
-                        *xb -= t * limit * row[enter];
-                    }
+                    st.shift_by_column(enter, t * limit);
                     st.at_upper[enter] = !st.at_upper[enter];
                 }
                 Some((row, hits_upper)) => {
@@ -799,11 +814,12 @@ impl SimplexSolver {
             // column index in Bland mode.
             let mut enter: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
+            let a_row = st.row(row);
             for j in 0..st.artificial_start {
                 if st.is_basic(j) || st.up[j] - st.lo[j] <= self.tolerance {
                     continue;
                 }
-                let a = st.a[row][j];
+                let a = a_row[st.pos_of[j]];
                 if a.abs() <= self.tolerance {
                     continue;
                 }
@@ -823,7 +839,7 @@ impl SimplexSolver {
                         if use_bland {
                             j < e
                         } else {
-                            a.abs() > st.a[row][e].abs()
+                            a.abs() > a_row[st.pos_of[e]].abs()
                         }
                     });
                 if strictly_better || tie_break {
@@ -842,7 +858,7 @@ impl SimplexSolver {
             } else {
                 degenerate_streak += 1;
             }
-            let change = (st.xb[row] - target) / st.a[row][enter];
+            let change = (st.xb[row] - target) / a_row[st.pos_of[enter]];
             let new_value = st.value_of(enter) + change;
             self.do_pivot(st, row, enter, new_value, above, None);
             *pivots += 1;
@@ -851,6 +867,10 @@ impl SimplexSolver {
 
     /// Perform a pivot: update the basic values, swap the basis bookkeeping,
     /// eliminate the entering column, and update the reduced-cost rows.
+    ///
+    /// The leaving column takes over the entering column's stored position:
+    /// its old column was the unit vector of `row`, so after the pivot it is
+    /// `1/pivot` in `row` and `−factor/pivot` in every other row.
     ///
     /// `new_value` is the value the entering variable takes; `leaves_at_upper`
     /// records at which bound the leaving variable comes to rest.
@@ -865,50 +885,59 @@ impl SimplexSolver {
     ) {
         let change = new_value - st.value_of(enter);
         if change != 0.0 {
-            for r in 0..st.num_rows() {
-                if r != row {
-                    st.xb[r] -= change * st.a[r][enter];
-                }
-            }
+            st.shift_by_column(enter, change);
         }
         st.xb[row] = new_value;
+
+        let s = st.pos_of[enter];
+        let width = st.width();
 
         let leaving = st.basis[row];
         st.at_upper[leaving] = leaves_at_upper;
         st.row_of[leaving] = usize::MAX;
+        st.pos_of[leaving] = s;
+        st.nonbasic[s] = leaving;
         st.basis[row] = enter;
         st.row_of[enter] = row;
+        st.pos_of[enter] = usize::MAX;
         st.at_upper[enter] = false;
 
-        let pivot = st.a[row][enter];
+        let (before, rest) = st.a.split_at_mut(row * width);
+        let (pivot_row, after) = rest.split_at_mut(width);
+        let pivot = pivot_row[s];
         debug_assert!(pivot.abs() > self.tolerance);
         let inv = 1.0 / pivot;
-        for v in st.a[row].iter_mut() {
+        for v in pivot_row.iter_mut() {
             *v *= inv;
         }
-        let (before, rest) = st.a.split_at_mut(row);
-        let (pivot_row, after) = rest.split_first_mut().expect("pivot row exists");
-        for other in before.iter_mut().chain(after.iter_mut()) {
-            let factor = other[enter];
+        pivot_row[s] = inv;
+        for other in before
+            .chunks_exact_mut(width)
+            .chain(after.chunks_exact_mut(width))
+        {
+            let factor = other[s];
             if factor != 0.0 {
                 for (o, p) in other.iter_mut().zip(pivot_row.iter()) {
                     *o -= factor * p;
                 }
+                other[s] = 0.0 - factor * inv;
             }
         }
         let f2 = st.d[enter];
         if f2 != 0.0 {
-            for (dj, p) in st.d.iter_mut().zip(pivot_row.iter()) {
-                *dj -= f2 * p;
+            for (&j, p) in st.nonbasic.iter().zip(pivot_row.iter()) {
+                st.d[j] -= f2 * p;
             }
         }
+        st.d[enter] = 0.0;
         if let Some(d1) = d1 {
             let f1 = d1[enter];
             if f1 != 0.0 {
-                for (dj, p) in d1.iter_mut().zip(pivot_row.iter()) {
-                    *dj -= f1 * p;
+                for (&j, p) in st.nonbasic.iter().zip(pivot_row.iter()) {
+                    d1[j] -= f1 * p;
                 }
             }
+            d1[enter] = 0.0;
         }
     }
 
