@@ -1,11 +1,20 @@
 //! The session cache: one built [`PlacementSession`] per `(program
-//! contents, device, scope)`, evicting the least-used idle session.
+//! contents, device, scope)`, evicting the least-reused idle session.
+//!
+//! # One record per session
+//!
+//! Each cache entry is the single record of its session: the program and
+//! its [`SessionKey`], the solver state a worker checks out, the memo, the
+//! eviction statistics and the jobs queued on it.  Whether a session is in
+//! use is read from the entry alone — it has queued jobs, or a worker holds
+//! its state — so no count of queued jobs is kept beside it.
 //!
 //! # Keying and collision safety
 //!
-//! Entries are indexed by [`SessionKey`] — a 64-bit content fingerprint of
-//! the program plus the device key and placement scope.  The fingerprint is
-//! **not trusted**: a lookup that lands on a key match still compares the
+//! Entries carry a [`SessionKey`] — a 64-bit content fingerprint of the
+//! program plus the device key and placement scope.  The fingerprint is
+//! **not trusted**: a lookup scans the live entries (at most `capacity`
+//! idle ones plus those in use) and, on a key match, still compares the
 //! full program (cheap `Arc` pointer check first, deep equality second)
 //! before declaring a hit, so two distinct programs whose fingerprints
 //! collide coexist as separate entries under the same key.  The
@@ -19,11 +28,11 @@
 //!
 //! # Eviction invariants
 //!
-//! At most `capacity` entries are kept idle; entries in use — pinned
-//! (queued jobs reference them) or claimed (a worker is solving on them) —
-//! do not count and are **never** evicted, so a burst of distinct requests
-//! grows the cache past its capacity rather than blocking (admission
-//! backpressure is the server's job, not the cache's).
+//! At most `capacity` entries are kept idle — no queued job and no worker
+//! holding the state.  Entries in use do not count and are **never**
+//! evicted, so a burst of distinct requests grows the cache past its
+//! capacity rather than blocking (admission backpressure is the server's
+//! job, not the cache's).
 //!
 //! The victim is the idle entry with the fewest reuses (lookups that found
 //! it), least recently used among equals.  An insert into a full cache
@@ -32,10 +41,11 @@
 //! the least-reused idle entry goes — the newcomer itself, unless it was
 //! reused meanwhile.  Each such release-time eviction halves all reuse
 //! counts, so sessions that stop being reused age out and a new working
-//! set moves in after a few misses.  Evicting the least recently used entry on every insert would
-//! let each one-off `(program, device)` pair push out a hot session that
-//! then misses on its next request: once the working set outgrows the
-//! cache, every rare request would cost two misses.
+//! set moves in after a few misses.  Evicting the least recently used
+//! entry on every insert would let each one-off `(program, device)` pair
+//! push out a hot session that then misses on its next request: once the
+//! working set outgrows the cache, every rare request would cost two
+//! misses.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -82,14 +92,13 @@ pub(crate) struct EntryState {
     pub memo: HashMap<QueryKey, MemoEntry>,
 }
 
-#[derive(Debug)]
-struct CacheEntry {
+struct CacheEntry<J> {
     key: SessionKey,
     program: Arc<MachineProgram>,
     /// `None` while a worker has the state checked out.
     state: Option<EntryState>,
-    /// Queued jobs referencing this entry; pinned entries are never evicted.
-    pins: usize,
+    /// Jobs queued on this entry, in arrival order; a claim drains them.
+    jobs: Vec<J>,
     /// LRU clock value of the last lookup or claim.
     last_used: u64,
     /// Lookups that found this entry, halved on every release-time
@@ -97,10 +106,15 @@ struct CacheEntry {
     reuses: u64,
 }
 
-impl CacheEntry {
-    /// Neither pinned nor claimed: the only entries eviction may touch.
+impl<J> CacheEntry<J> {
+    /// No queued job and not claimed: the only entries eviction may touch.
     fn is_idle(&self) -> bool {
-        self.pins == 0 && self.state.is_some()
+        self.jobs.is_empty() && self.state.is_some()
+    }
+
+    /// Jobs queued and nobody holding the state: a worker may claim it.
+    fn is_waiting(&self) -> bool {
+        !self.jobs.is_empty() && self.state.is_some()
     }
 }
 
@@ -114,8 +128,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to keep at most `capacity` entries idle.
     pub evictions: u64,
-    /// Lookups whose [`SessionKey`] matched an entry holding a *different*
-    /// program — a fingerprint collision caught by the deep comparison.
+    /// Misses on which some live entry had the same [`SessionKey`] but a
+    /// *different* program — a fingerprint collision caught by the deep
+    /// comparison.
     pub collisions: u64,
     /// Entries torn down by fault containment: a worker panicked (or was
     /// presumed wedged by the watchdog) while holding the entry's session,
@@ -127,50 +142,36 @@ pub struct CacheStats {
 }
 
 /// Opaque handle to a cache entry.  Handles stay valid for as long as the
-/// entry is pinned or claimed; the server's job bookkeeping guarantees it
-/// never holds a handle to an evictable entry.
+/// entry has queued jobs or is claimed; ids are never reused, so a handle
+/// to an evicted entry names nothing rather than a newer entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct EntryId(u64);
 
-/// The session cache (see the module docs for the invariants).
-#[derive(Debug)]
-pub struct SessionCache {
+/// The session cache over queued jobs of type `J` (see the module docs for
+/// the invariants).
+pub(crate) struct SessionCache<J> {
     capacity: usize,
     clock: u64,
     next_id: u64,
-    entries: HashMap<EntryId, CacheEntry>,
-    /// Key → entries carrying that key (more than one only under
-    /// fingerprint collisions).
-    index: HashMap<SessionKey, Vec<EntryId>>,
+    entries: HashMap<EntryId, CacheEntry<J>>,
     stats: CacheStats,
 }
 
-impl SessionCache {
+impl<J> SessionCache<J> {
     /// A cache keeping at most `capacity` idle sessions (entries in use
     /// come on top; see the module docs).
-    pub fn new(capacity: usize) -> SessionCache {
+    pub(crate) fn new(capacity: usize) -> SessionCache<J> {
         SessionCache {
             capacity: capacity.max(1),
             clock: 0,
             next_id: 0,
             entries: HashMap::new(),
-            index: HashMap::new(),
             stats: CacheStats::default(),
         }
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The monotone behavior counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
 
@@ -188,27 +189,21 @@ impl SessionCache {
         program: &Arc<MachineProgram>,
     ) -> (EntryId, bool) {
         let tick = self.tick();
-        if let Some(ids) = self.index.get(&key) {
-            let mut collided = false;
-            let mut found = None;
-            for &id in ids {
-                let entry = &self.entries[&id];
-                if Arc::ptr_eq(&entry.program, program) || entry.program == *program {
-                    found = Some(id);
-                    break;
-                }
-                collided = true;
+        let mut collided = false;
+        for (&id, entry) in &mut self.entries {
+            if entry.key != key {
+                continue;
             }
-            if collided {
-                self.stats.collisions += 1;
-            }
-            if let Some(id) = found {
+            if Arc::ptr_eq(&entry.program, program) || entry.program == *program {
                 self.stats.hits += 1;
-                let entry = self.entries.get_mut(&id).expect("indexed entry");
                 entry.last_used = tick;
                 entry.reuses += 1;
                 return (id, true);
             }
+            collided = true;
+        }
+        if collided {
+            self.stats.collisions += 1;
         }
         self.stats.misses += 1;
         self.evict_to_fit();
@@ -220,13 +215,22 @@ impl SessionCache {
                 key,
                 program: Arc::clone(program),
                 state: Some(EntryState::default()),
-                pins: 0,
+                jobs: Vec::new(),
                 last_used: tick,
                 reuses: 0,
             },
         );
-        self.index.entry(key).or_default().push(id);
         (id, false)
+    }
+
+    /// Queue `jobs` on the live entry `id`; queued jobs keep it from
+    /// eviction until a claim or quarantine takes them.
+    pub(crate) fn queue(&mut self, id: EntryId, jobs: impl IntoIterator<Item = J>) {
+        self.entries
+            .get_mut(&id)
+            .expect("jobs are queued on a live entry")
+            .jobs
+            .extend(jobs);
     }
 
     /// Make room for an insert by evicting never-reused idle entries while
@@ -236,7 +240,7 @@ impl SessionCache {
         while self.entries.len() >= self.capacity {
             match self.idle_victim() {
                 Some(id) if self.entries[&id].reuses == 0 => {
-                    self.remove_entry(id);
+                    self.entries.remove(&id);
                     self.stats.evictions += 1;
                 }
                 _ => return,
@@ -247,9 +251,9 @@ impl SessionCache {
     /// Evict idle entries, least reused first, until at most `capacity`
     /// are idle, halving every reuse count per eviction.
     fn shrink_to_capacity(&mut self) {
-        while self.idle_count() > self.capacity {
+        while self.entries.values().filter(|e| e.is_idle()).count() > self.capacity {
             let id = self.idle_victim().expect("an idle entry exists");
-            self.remove_entry(id);
+            self.entries.remove(&id);
             self.stats.evictions += 1;
             for entry in self.entries.values_mut() {
                 entry.reuses /= 2;
@@ -257,12 +261,8 @@ impl SessionCache {
         }
     }
 
-    fn idle_count(&self) -> usize {
-        self.entries.values().filter(|e| e.is_idle()).count()
-    }
-
-    /// The entry neither pinned nor claimed with the fewest reuses, least
-    /// recently used among equals.
+    /// The idle entry with the fewest reuses, least recently used among
+    /// equals.
     fn idle_victim(&self) -> Option<EntryId> {
         self.entries
             .iter()
@@ -271,67 +271,48 @@ impl SessionCache {
             .map(|(&id, _)| id)
     }
 
-    /// Remove `id` and fix the key index.  Panics if absent.
-    fn remove_entry(&mut self, id: EntryId) -> CacheEntry {
-        let entry = self.entries.remove(&id).expect("removed entry exists");
-        let ids = self
-            .index
-            .get_mut(&entry.key)
-            .expect("removed entry indexed");
-        ids.retain(|&i| i != id);
-        if ids.is_empty() {
-            self.index.remove(&entry.key);
-        }
-        entry
-    }
-
     /// Force-evict the next idle victim regardless of occupancy pressure —
     /// the fault-injection eviction-race failpoint, simulating an eviction
     /// racing the next admission for the same key.  No-op (returning
-    /// `false`) when every entry is pinned or claimed.
+    /// `false`) when every entry is in use.
     #[cfg(feature = "fault-injection")]
     pub(crate) fn evict_one_idle(&mut self) -> bool {
         let Some(id) = self.idle_victim() else {
             return false;
         };
-        self.remove_entry(id);
+        self.entries.remove(&id);
         self.stats.evictions += 1;
         true
     }
 
-    /// Tear down a (possibly claimed, possibly pinned) entry whose session
-    /// can no longer be trusted — a panic or watchdog kill interrupted the
-    /// worker holding it mid-mutation.  Returns the key and program so the
-    /// caller can rebuild a fresh entry and re-home the queued jobs.
-    pub(crate) fn quarantine(&mut self, id: EntryId) -> Option<(SessionKey, Arc<MachineProgram>)> {
-        if !self.entries.contains_key(&id) {
-            return None;
-        }
-        let entry = self.remove_entry(id);
+    /// Tear down a (possibly claimed, possibly queued-on) entry whose
+    /// session can no longer be trusted — a panic or watchdog kill
+    /// interrupted the worker holding it mid-mutation.  Returns the key,
+    /// the program and the queued jobs so the caller can rebuild a fresh
+    /// entry and re-home them.
+    pub(crate) fn quarantine(
+        &mut self,
+        id: EntryId,
+    ) -> Option<(SessionKey, Arc<MachineProgram>, Vec<J>)> {
+        let entry = self.entries.remove(&id)?;
         self.stats.quarantined += 1;
-        Some((entry.key, entry.program))
+        Some((entry.key, entry.program, entry.jobs))
     }
 
-    /// Keep `id` alive: one pin per queued job referencing the entry.
-    pub(crate) fn pin(&mut self, id: EntryId) {
-        self.entries.get_mut(&id).expect("pinned entry exists").pins += 1;
-    }
-
-    /// Drop `count` pins from `id` (its jobs were drained for solving).
-    pub(crate) fn unpin(&mut self, id: EntryId, count: usize) {
-        let entry = self.entries.get_mut(&id).expect("unpinned entry exists");
-        entry.pins = entry.pins.checked_sub(count).expect("pin underflow");
-    }
-
-    /// Check the entry's solver state out for a worker.  Returns `None`
-    /// when another worker already holds it (the server's ready-queue
-    /// bookkeeping should make that impossible).
-    pub(crate) fn claim(&mut self, id: EntryId) -> Option<(Arc<MachineProgram>, EntryState)> {
+    /// Check a waiting entry out for a worker: its program, key, solver
+    /// state and every queued job, in arrival order.  Returns `None` unless
+    /// the entry is live, unclaimed and has jobs (the server's ready queue
+    /// holds only such entries).
+    pub(crate) fn claim(
+        &mut self,
+        id: EntryId,
+    ) -> Option<(Arc<MachineProgram>, SessionKey, EntryState, Vec<J>)> {
         let tick = self.tick();
-        let entry = self.entries.get_mut(&id)?;
+        let entry = self.entries.get_mut(&id).filter(|e| e.is_waiting())?;
         let state = entry.state.take()?;
         entry.last_used = tick;
-        Some((Arc::clone(&entry.program), state))
+        let jobs = std::mem::take(&mut entry.jobs);
+        Some((Arc::clone(&entry.program), entry.key, state, jobs))
     }
 
     /// Return a claimed entry's state after solving, then evict idle
@@ -348,69 +329,31 @@ impl SessionCache {
         self.shrink_to_capacity();
     }
 
-    /// The session key of a live entry (used by workers to rebuild the
-    /// board for lazy session construction).
-    pub(crate) fn key_of(&self, id: EntryId) -> SessionKey {
-        self.entries[&id].key
+    /// Whether `id` is live, unclaimed and has queued jobs.
+    pub(crate) fn is_waiting(&self, id: EntryId) -> bool {
+        self.entries.get(&id).is_some_and(CacheEntry::is_waiting)
     }
 
-    /// Whether `id` names a live entry.
-    pub(crate) fn contains(&self, id: EntryId) -> bool {
-        self.entries.contains_key(&id)
+    /// Every entry that is live, unclaimed and has queued jobs.
+    pub(crate) fn waiting(&self) -> impl Iterator<Item = EntryId> + '_ {
+        self.entries
+            .iter()
+            .filter(|(_, e)| e.is_waiting())
+            .map(|(&id, _)| id)
     }
 
-    /// Whether a worker currently holds the entry's state.
-    pub(crate) fn is_claimed(&self, id: EntryId) -> bool {
-        self.entries[&id].state.is_none()
+    /// Jobs queued across all entries.
+    pub(crate) fn queued_jobs(&self) -> usize {
+        self.entries.values().map(|e| e.jobs.len()).sum()
     }
 
-    /// Drop every pin.  Only for the server's drain/shutdown sweeps, after
-    /// all queued jobs have been failed — the pin counts they backed are
-    /// meaningless at that point.
-    pub(crate) fn clear_pins(&mut self) {
-        for entry in self.entries.values_mut() {
-            entry.pins = 0;
-        }
-    }
-
-    /// Structural consistency check: the entry map and the key index
-    /// describe the same set of entries, with matching keys and no
-    /// dangling or duplicated ids.  The chaos harness runs this after a
-    /// fault-heavy soak to assert the cache stayed coherent through
-    /// quarantines, forced evictions and worker restarts.
-    pub fn validate(&self) -> Result<(), String> {
-        for (id, entry) in &self.entries {
-            match self.index.get(&entry.key) {
-                None => return Err(format!("entry {id:?} missing from the key index")),
-                Some(ids) if !ids.contains(id) => {
-                    return Err(format!("entry {id:?} not listed under its key"));
-                }
-                Some(_) => {}
-            }
-        }
-        let mut indexed = 0usize;
-        for (key, ids) in &self.index {
-            if ids.is_empty() {
-                return Err(format!("empty index bucket for {key:?}"));
-            }
-            for id in ids {
-                indexed += 1;
-                match self.entries.get(id) {
-                    None => return Err(format!("index lists dead entry {id:?}")),
-                    Some(entry) if entry.key != *key => {
-                        return Err(format!("entry {id:?} indexed under the wrong key"));
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
-        if indexed != self.entries.len() {
-            return Err(format!(
-                "index covers {indexed} entries, map holds {}",
-                self.entries.len()
-            ));
-        }
-        Ok(())
+    /// Take every queued job, leaving the entries themselves in place —
+    /// the server's drain fails them all.
+    pub(crate) fn drain_jobs(&mut self) -> Vec<J> {
+        self.entries
+            .values_mut()
+            .flat_map(|e| std::mem::take(&mut e.jobs))
+            .collect()
     }
 }
 
@@ -432,9 +375,16 @@ mod tests {
         }
     }
 
+    /// The cache as the unit tests drive it: jobs are plain labels.
+    type Cache = SessionCache<&'static str>;
+
+    fn contains(cache: &Cache, id: EntryId) -> bool {
+        cache.entries.contains_key(&id)
+    }
+
     #[test]
     fn lookup_hits_only_on_identical_contents() {
-        let mut cache = SessionCache::new(4);
+        let mut cache = Cache::new(4);
         let a = program(1);
         let b = program(2);
         let (ia, hit_a) = cache.lookup_or_insert(key(7), &a);
@@ -453,106 +403,103 @@ mod tests {
     }
 
     /// Admit one job for `k` and serve it, as the server does.
-    fn serve(cache: &mut SessionCache, k: u64) -> EntryId {
+    fn serve(cache: &mut Cache, k: u64) -> EntryId {
         let (id, _) = cache.lookup_or_insert(key(k), &program(k as i32));
-        cache.pin(id);
-        let (_, state) = cache.claim(id).expect("claimable");
-        cache.unpin(id, 1);
+        cache.queue(id, ["job"]);
+        let (_, _, state, jobs) = cache.claim(id).expect("claimable");
+        assert_eq!(jobs, ["job"]);
         cache.release(id, state);
         id
     }
 
     #[test]
     fn the_least_reused_idle_entry_is_evicted() {
-        let mut cache = SessionCache::new(2);
+        let mut cache = Cache::new(2);
         let i1 = serve(&mut cache, 1);
         let i2 = serve(&mut cache, 2);
         serve(&mut cache, 1);
         let i3 = serve(&mut cache, 3);
         assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.contains(i1), "the reused entry survives");
-        assert!(!cache.contains(i2), "the older never-reused entry goes");
-        assert!(cache.contains(i3));
+        assert_eq!(cache.entries.len(), 2);
+        assert!(contains(&cache, i1), "the reused entry survives");
+        assert!(!contains(&cache, i2), "the older never-reused entry goes");
+        assert!(contains(&cache, i3));
     }
 
     #[test]
     fn a_newcomer_does_not_displace_reused_sessions() {
-        let mut cache = SessionCache::new(2);
+        let mut cache = Cache::new(2);
         let i1 = serve(&mut cache, 1);
         let i2 = serve(&mut cache, 2);
         serve(&mut cache, 1);
         serve(&mut cache, 2);
         // Both residents were reused: the newcomer is the one evicted.
         let i3 = serve(&mut cache, 3);
-        assert!(!cache.contains(i3));
-        assert!(cache.contains(i1) && cache.contains(i2));
+        assert!(!contains(&cache, i3));
+        assert!(contains(&cache, i1) && contains(&cache, i2));
         // The eviction halved the residents' reuses to zero, so the next
         // newcomer displaces the least recently used of them.
         let i4 = serve(&mut cache, 4);
-        assert!(!cache.contains(i1), "aged-out resident evicted");
-        assert!(cache.contains(i2) && cache.contains(i4));
+        assert!(!contains(&cache, i1), "aged-out resident evicted");
+        assert!(contains(&cache, i2) && contains(&cache, i4));
         assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
     fn pinned_and_claimed_entries_are_never_evicted() {
-        let mut cache = SessionCache::new(1);
+        let mut cache = Cache::new(1);
         let (i1, _) = cache.lookup_or_insert(key(1), &program(1));
-        cache.pin(i1);
+        cache.queue(i1, ["queued"]);
         let (i2, _) = cache.lookup_or_insert(key(2), &program(2));
-        cache.pin(i2);
-        let (_, state2) = cache.claim(i2).expect("claimable");
-        cache.unpin(i2, 1);
+        cache.queue(i2, ["claimed"]);
+        let (_, _, state2, _) = cache.claim(i2).expect("claimable");
         // Nothing is idle, so a third entry grows the cache past capacity.
         let i3 = serve(&mut cache, 3);
         assert_eq!(cache.stats().evictions, 0, "in-use entries survive");
-        assert_eq!(cache.len(), 3, "cache grows past capacity instead");
+        assert_eq!(cache.entries.len(), 3, "cache grows past capacity instead");
         assert!(cache.claim(i2).is_none(), "double claim is refused");
         // i1 goes idle while i2 stays claimed: the next release keeps one
         // idle entry, the newest, and never touches the claimed i2.
-        cache.unpin(i1, 1);
+        assert_eq!(cache.drain_jobs(), ["queued"]);
         let i4 = serve(&mut cache, 4);
-        assert!(!cache.contains(i1) && !cache.contains(i3));
-        assert!(cache.contains(i2) && cache.contains(i4));
+        assert!(!contains(&cache, i1) && !contains(&cache, i3));
+        assert!(contains(&cache, i2) && contains(&cache, i4));
         assert_eq!(cache.stats().evictions, 2);
         cache.release(i2, state2);
-        assert_eq!(cache.len(), 1, "back within capacity once i2 is idle");
+        assert_eq!(
+            cache.entries.len(),
+            1,
+            "back within capacity once i2 is idle"
+        );
     }
 
     #[test]
     fn quarantine_removes_even_claimed_pinned_entries_and_stays_coherent() {
-        let mut cache = SessionCache::new(4);
+        let mut cache = Cache::new(4);
         let prog = program(1);
         let (id, _) = cache.lookup_or_insert(key(7), &prog);
-        cache.pin(id);
-        let (_, state) = cache.claim(id).expect("claimable");
-        let (k, p) = cache.quarantine(id).expect("quarantined");
+        cache.queue(id, ["solving"]);
+        let (_, _, state, _) = cache.claim(id).expect("claimable");
+        // A job admitted while the worker holds the state.
+        cache.queue(id, ["late"]);
+        assert!(!cache.is_waiting(id), "a claimed entry is not waiting");
+        let (k, p, jobs) = cache.quarantine(id).expect("quarantined");
         assert_eq!(k, key(7));
         assert_eq!(*p, *prog);
+        assert_eq!(jobs, ["late"], "the queued job goes back to the caller");
         assert_eq!(cache.stats().quarantined, 1);
-        assert!(!cache.contains(id));
+        assert!(!contains(&cache, id));
         assert!(cache.quarantine(id).is_none(), "idempotent on dead ids");
         // A release racing the quarantine drops the stale state silently.
         cache.release(id, state);
-        assert!(!cache.contains(id));
+        assert!(!contains(&cache, id));
         // The rebuild gets a fresh entry under the same key.
         let (id2, hit) = cache.lookup_or_insert(k, &p);
         assert!(!hit, "the quarantined session is gone for good");
         assert_ne!(id, id2);
-        cache
-            .validate()
-            .expect("coherent after quarantine + rebuild");
-    }
-
-    #[test]
-    fn validate_catches_index_corruption() {
-        let mut cache = SessionCache::new(4);
-        let (id, _) = cache.lookup_or_insert(key(1), &program(1));
-        cache.validate().expect("fresh cache is coherent");
-        cache.index.clear();
-        assert!(cache.validate().is_err(), "dangling entry detected");
-        cache.entries.remove(&id);
-        cache.validate().expect("empty cache is coherent again");
+        cache.queue(id2, jobs);
+        assert!(cache.is_waiting(id2));
+        assert_eq!(cache.waiting().collect::<Vec<_>>(), [id2]);
+        assert_eq!(cache.queued_jobs(), 1);
     }
 }

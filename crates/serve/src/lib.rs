@@ -5,13 +5,14 @@
 //! budget".  This crate is the production-shaped front end around it: a
 //! long-running multi-threaded [`PlacementServer`] with
 //!
-//! * a [`SessionCache`] keyed by `(program contents, device, scope)` that
-//!   evicts the least-reused idle session, so repeat queries share one
-//!   model build and memo table;
-//! * a bounded admission queue that coalesces queued queries for the same
-//!   session into one worker batch and shards independent sessions across
-//!   the worker pool (the work-stealing point for the very uneven 0.1 ms –
-//!   1.3 s per-point solve costs);
+//! * a session [`cache`] keyed by `(program contents, device, scope)`
+//!   whose entries each hold one session's model, memo table and queued
+//!   jobs, and which evicts the least-reused idle session, so repeat
+//!   queries share one model build and memo table;
+//! * a bounded admission queue: a worker claims one entry and solves all
+//!   of its queued queries as one batch, and independent sessions shard
+//!   across the worker pool (the work-stealing point for the very uneven
+//!   0.1 ms – 1.3 s per-point solve costs);
 //! * per-request deadlines with backpressure and degradation to the greedy
 //!   fallback, responses tagged [`Outcome::Exact`] /
 //!   [`Outcome::Heuristic`] / [`Outcome::Timeout`];
@@ -41,7 +42,7 @@ pub mod request;
 pub mod server;
 pub mod workload;
 
-pub use cache::{CacheStats, SessionCache, SessionKey};
+pub use cache::{CacheStats, SessionKey};
 #[cfg(feature = "fault-injection")]
 pub use flashram_ilp::fault::{FaultPlan, FaultSite};
 pub use request::{Outcome, Query, Request, Response, ServeError};

@@ -10,12 +10,12 @@
 //!                                                                    batch)
 //! ```
 //!
-//! A request is validated and bound to a [`SessionCache`] entry at
-//! admission; jobs for the same entry queue together and a worker drains
-//! the whole batch in one claim, so repeat traffic against one program
-//! shares a single model build and memo table.  Independent entries are
-//! claimed by whichever worker is free — the ready queue is the
-//! work-stealing point, so a long solve on one session never blocks
+//! A request is validated and queued on its session-cache entry (see the
+//! [`cache`](crate::cache) module) at admission; a worker claims the entry
+//! and with it the whole batch of queued jobs, so repeat traffic against
+//! one program shares a single model build and memo table.  Independent
+//! entries are claimed by whichever worker is free — the ready queue is
+//! the work-stealing point, so a long solve on one session never blocks
 //! traffic for the others (the uneven 0.1 ms–1.3 s per-point costs in
 //! `BENCH_solver.json` are exactly why).
 //!
@@ -69,9 +69,10 @@
 //!   scope)`, so the rebuild answers bit-identically; re-submitting a
 //!   panicked request yields the exact answer.
 //! * **Poison recovery.**  Locks are never `expect`ed.  A poisoned state
-//!   mutex is cleared and the state checked for structural consistency: a
-//!   consistent state (the panic struck outside a bookkeeping mutation)
-//!   simply continues; an inconsistent one transitions the server to a
+//!   mutex is cleared and the state checked for structural consistency
+//!   (the queue count against the queued jobs, the ready queue against the
+//!   entries that wait for a worker): a consistent state (the panic struck
+//!   outside a bookkeeping mutation) simply continues; an inconsistent one transitions the server to a
 //!   terminal **draining** state that fails every pending ticket with
 //!   [`ServeError::Shutdown`] — zero leaked tickets either way.
 //! * **Watchdog.**  With [`ServerConfig::watchdog`] set, a monitor thread
@@ -96,7 +97,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -123,7 +124,9 @@ pub struct ServerConfig {
     /// full; [`PlacementServer::try_submit`] returns
     /// [`ServeError::Overloaded`].
     pub queue_capacity: usize,
-    /// Maximum cached sessions (see [`SessionCache`]).
+    /// Maximum *idle* cached sessions — no queued job, no worker solving
+    /// on them.  Sessions in use come on top and are never evicted (see
+    /// the [`cache`](crate::cache) module).
     pub cache_capacity: usize,
     /// Branch-and-bound node budget per point; exhausting it degrades the
     /// response to [`Outcome::Heuristic`] deterministically.  `None` uses
@@ -222,11 +225,13 @@ struct InflightBatch {
 }
 
 struct State {
-    cache: SessionCache,
+    /// The sessions, each holding its own queued jobs.
+    cache: SessionCache<Job>,
     registry: HashMap<String, (Arc<MachineProgram>, u64)>,
-    pending: HashMap<EntryId, Vec<Job>>,
+    /// Entries a worker may claim, in the order they began waiting.  An id
+    /// is here exactly when its entry is live, unclaimed and has jobs.
     ready: VecDeque<EntryId>,
-    in_ready: HashSet<EntryId>,
+    /// Jobs admitted and not yet claimed, for the admission bound.
     queued: usize,
     shutdown: bool,
     /// Terminal: the server hit an unrecoverable internal inconsistency,
@@ -301,78 +306,64 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Lock the server state with poison recovery (module docs): a
-    /// poisoned guard is cleared and the state either continues (still
-    /// structurally consistent) or drains (fails everything pending and
-    /// goes terminal).  Never panics.
+    /// Lock the server state with poison recovery (see
+    /// [`Shared::recover`]).
     fn lock_state(&self) -> MutexGuard<'_, State> {
-        match self.state.lock() {
-            Ok(st) => st,
-            Err(poisoned) => {
-                self.state.clear_poison();
-                let mut st = poisoned.into_inner();
-                self.recover(&mut st);
-                st
-            }
-        }
+        self.recover(self.state.lock())
     }
 
-    /// [`Condvar::wait`] on `work` with the same poison recovery.
-    fn wait_work<'a>(&'a self, guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        match self.work.wait(guard) {
-            Ok(st) => st,
-            Err(poisoned) => {
-                self.state.clear_poison();
-                let mut st = poisoned.into_inner();
-                self.recover(&mut st);
-                st
+    /// Take the state guard from a lock or a condvar wait with poison
+    /// recovery (module docs): a poisoned guard is cleared and the state
+    /// either continues (still structurally consistent) or drains (fails
+    /// everything pending and goes terminal).  Never panics.
+    fn recover<'a>(&'a self, locked: LockResult<MutexGuard<'a, State>>) -> MutexGuard<'a, State> {
+        locked.unwrap_or_else(|poisoned| {
+            self.state.clear_poison();
+            let mut st = poisoned.into_inner();
+            if check_state(&st).is_err() {
+                drain_state(&mut st);
+                self.work.notify_all();
+                self.space.notify_all();
             }
-        }
+            st
+        })
     }
 
-    /// [`Condvar::wait`] on `space` with the same poison recovery.
-    fn wait_space<'a>(&'a self, guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        match self.space.wait(guard) {
-            Ok(st) => st,
-            Err(poisoned) => {
-                self.state.clear_poison();
-                let mut st = poisoned.into_inner();
-                self.recover(&mut st);
-                st
-            }
+    /// Offer `id` to the workers if it waits for one (live, unclaimed,
+    /// jobs queued) and is not offered yet — the one place that keeps the
+    /// ready-queue invariant of [`State::ready`].
+    fn offer(&self, st: &mut State, id: EntryId) {
+        if st.cache.is_waiting(id) && !st.ready.contains(&id) {
+            st.ready.push_back(id);
+            self.work.notify_one();
         }
-    }
-
-    /// Post-poison triage: keep a consistent state, drain a broken one.
-    fn recover(&self, st: &mut State) {
-        if state_consistent(st) {
-            return;
-        }
-        drain_state(st);
-        self.work.notify_all();
-        self.space.notify_all();
     }
 }
 
-/// Whether the bookkeeping invariants hold — the panic that poisoned the
-/// lock struck outside any state mutation.
-fn state_consistent(st: &State) -> bool {
-    let pending_total: usize = st.pending.values().map(Vec::len).sum();
-    if st.queued != pending_total {
-        return false;
+/// The bookkeeping invariants: the queue count matches the queued jobs,
+/// and the ready queue holds each waiting entry exactly once and nothing
+/// else.  They hold whenever the lock is free; poison recovery relies on
+/// them to tell a panic outside any state mutation from one inside.
+fn check_state(st: &State) -> Result<(), String> {
+    let jobs = st.cache.queued_jobs();
+    if st.queued != jobs {
+        return Err(format!("queue count {} but {jobs} queued jobs", st.queued));
     }
-    if st.in_ready.len() != st.ready.len() {
-        return false;
-    }
-    for id in &st.ready {
-        if !st.in_ready.contains(id) || !st.cache.contains(*id) || st.cache.is_claimed(*id) {
-            return false;
+    let mut offered = HashSet::new();
+    for &id in &st.ready {
+        if !offered.insert(id) {
+            return Err(format!("entry {id:?} is in the ready queue twice"));
+        }
+        if !st.cache.is_waiting(id) {
+            return Err(format!(
+                "ready entry {id:?} is dead, claimed or has no queued jobs"
+            ));
         }
     }
-    if !st.pending.keys().all(|id| st.cache.contains(*id)) {
-        return false;
+    match st.cache.waiting().find(|id| !offered.contains(id)) {
+        Some(id) => Err(format!("entry {id:?} has queued jobs but is not ready")),
+        None => Ok(()),
     }
-    st.cache.validate().is_ok()
 }
 
 /// The terminal transition: fail every pending ticket and every in-flight
@@ -383,12 +374,10 @@ fn state_consistent(st: &State) -> bool {
 fn drain_state(st: &mut State) {
     st.shutdown = true;
     st.draining = true;
-    for (_, jobs) in std::mem::take(&mut st.pending) {
-        for job in jobs {
-            st.counters.completed += 1;
-            st.counters.errors += 1;
-            let _ = job.tx.send(Err(ServeError::Shutdown));
-        }
+    for job in st.cache.drain_jobs() {
+        st.counters.completed += 1;
+        st.counters.errors += 1;
+        let _ = job.tx.send(Err(ServeError::Shutdown));
     }
     for (batch_id, batch) in std::mem::take(&mut st.inflight) {
         st.abandoned.insert(batch_id);
@@ -400,8 +389,6 @@ fn drain_state(st: &mut State) {
     }
     st.queued = 0;
     st.ready.clear();
-    st.in_ready.clear();
-    st.cache.clear_pins();
 }
 
 /// A pending response: returned by [`PlacementServer::submit`], redeemed
@@ -469,9 +456,7 @@ impl PlacementServer {
             state: Mutex::new(State {
                 cache: SessionCache::new(config.cache_capacity),
                 registry: HashMap::new(),
-                pending: HashMap::new(),
                 ready: VecDeque::new(),
-                in_ready: HashSet::new(),
                 queued: 0,
                 shutdown: false,
                 draining: false,
@@ -557,16 +542,17 @@ impl PlacementServer {
         }
     }
 
-    /// Structural consistency check of the session cache under the server
-    /// lock.  The chaos harness calls this after a fault-heavy soak to
-    /// assert the cache stayed coherent through quarantines, forced
-    /// evictions and worker restarts.
+    /// Structural consistency check of the session cache and the queue
+    /// under the server lock — the check poison recovery makes.  The
+    /// chaos harness calls this after a fault-heavy soak to assert the
+    /// cache stayed coherent through quarantines, forced evictions and
+    /// worker restarts.
     ///
     /// # Errors
     ///
     /// A description of the first inconsistency found.
     pub fn verify_cache(&self) -> Result<(), String> {
-        self.shared.lock_state().cache.validate()
+        check_state(&self.shared.lock_state())
     }
 
     /// Stop admitting, drain every queued job, join the workers, and
@@ -608,7 +594,7 @@ impl PlacementServer {
         // tickets resolve to Shutdown (some already did, via their dropped
         // senders) — and reconcile the counters so the zero-leak guarantee
         // holds even after an uncontained death.
-        if !st.pending.is_empty() || !st.inflight.is_empty() {
+        if st.cache.queued_jobs() > 0 || !st.inflight.is_empty() {
             drain_state(&mut st);
         }
         if st.counters.completed < st.counters.submitted {
@@ -640,7 +626,7 @@ impl PlacementServer {
             if !block {
                 return Err(ServeError::Overloaded);
             }
-            st = self.shared.wait_space(st);
+            st = self.shared.recover(self.shared.space.wait(st));
         }
         let (program, fingerprint) = st
             .registry
@@ -653,7 +639,6 @@ impl PlacementServer {
             scope: req.scope,
         };
         let (id, session_hit) = st.cache.lookup_or_insert(key, &program);
-        st.cache.pin(id);
         if session_hit {
             st.counters.session_hits += 1;
         } else {
@@ -665,20 +650,17 @@ impl PlacementServer {
             .or(self.shared.cfg.default_deadline)
             .map(|d| now + d);
         let (tx, rx) = mpsc::channel();
-        st.pending.entry(id).or_default().push(Job {
+        let job = Job {
             query: req.query,
             deadline,
             enqueued: now,
             session_hit,
             tx,
-        });
+        };
+        st.cache.queue(id, [job]);
         st.queued += 1;
         st.counters.submitted += 1;
-        if !st.in_ready.contains(&id) && !st.cache.is_claimed(id) {
-            st.ready.push_back(id);
-            st.in_ready.insert(id);
-            self.shared.work.notify_one();
-        }
+        self.shared.offer(&mut st, id);
         Ok(Ticket { rx })
     }
 }
@@ -777,22 +759,14 @@ fn monitor_loop(shared: &Arc<Shared>, deadline: Duration) {
 /// this invisible to correctness: the rebuilt session answers the moved
 /// jobs bit-identically.
 fn quarantine_and_rehome(shared: &Shared, st: &mut State, id: EntryId) {
-    let Some((key, program)) = st.cache.quarantine(id) else {
+    let Some((key, program, jobs)) = st.cache.quarantine(id) else {
         return;
     };
     st.ready.retain(|&r| r != id);
-    st.in_ready.remove(&id);
-    if let Some(jobs) = st.pending.remove(&id) {
+    if !jobs.is_empty() {
         let (new_id, _) = st.cache.lookup_or_insert(key, &program);
-        for _ in 0..jobs.len() {
-            st.cache.pin(new_id);
-        }
-        st.pending.entry(new_id).or_default().extend(jobs);
-        if !st.in_ready.contains(&new_id) && !st.cache.is_claimed(new_id) {
-            st.ready.push_back(new_id);
-            st.in_ready.insert(new_id);
-            shared.work.notify_one();
-        }
+        st.cache.queue(new_id, jobs);
+        shared.offer(st, new_id);
     }
 }
 
@@ -828,22 +802,14 @@ fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
             if st.shutdown {
                 return;
             }
-            st = shared.wait_work(st);
+            st = shared.recover(shared.work.wait(st));
         };
-        st.in_ready.remove(&id);
-        let Some((program, mut state)) = st.cache.claim(id) else {
-            // Only reachable after a poison repair left a stale ready
-            // entry; nothing to do.
+        let Some((program, key, mut state, jobs)) = st.cache.claim(id) else {
+            // The ready queue holds only waiting entries (`check_state`),
+            // so a refused claim means nothing to do.
             continue;
         };
-        let jobs = st.pending.remove(&id).unwrap_or_default();
-        let key = st.cache.key_of(id);
-        st.cache.unpin(id, jobs.len());
         st.queued = st.queued.saturating_sub(jobs.len());
-        if jobs.is_empty() {
-            st.cache.release(id, state);
-            continue;
-        }
         let batch_id = st.next_batch;
         st.next_batch += 1;
         st.inflight.insert(
@@ -889,11 +855,7 @@ fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
             quarantine_and_rehome(shared, &mut st, id);
         } else {
             st.cache.release(id, state);
-            if st.pending.contains_key(&id) && !st.in_ready.contains(&id) {
-                st.ready.push_back(id);
-                st.in_ready.insert(id);
-                shared.work.notify_one();
-            }
+            shared.offer(&mut st, id);
         }
         #[cfg(feature = "fault-injection")]
         if fault::should_fire(FaultSite::ServeEvictRace) {
@@ -1247,8 +1209,8 @@ mod tests {
     fn corrupted_poison_drains_terminally_without_leaking() {
         let server = small_server();
         poison_state(&server, true);
-        // The corrupted bookkeeping (queued ≠ pending) forces the terminal
-        // drain: new admissions are refused...
+        // The corrupted bookkeeping (a queue count above the queued jobs)
+        // forces the terminal drain: new admissions are refused...
         let err = server
             .solve(Request::point("tiny", "stm32f100", 64, 2.0))
             .expect_err("a draining server refuses work");

@@ -1,6 +1,6 @@
-//! Cache-correctness tests: LRU eviction, staleness after program
-//! re-registration, and explicit fingerprint-collision coverage, all
-//! through the public server API.
+//! Cache-correctness tests: least-reused eviction, staleness after
+//! program re-registration, and explicit fingerprint-collision coverage,
+//! all through the public server API.
 
 use std::sync::Arc;
 
@@ -144,19 +144,48 @@ fn colliding_fingerprints_coexist_and_answer_correctly() {
     assert_eq!(stats.errors, 0);
 }
 
-#[test]
-fn lru_eviction_is_observable_and_never_wrong() {
+/// A one-worker server with room for two idle sessions, serving `p0`,
+/// `p1` and `p2` — three programs with different optima.
+fn two_session_server() -> PlacementServer {
     let server = PlacementServer::new(ServerConfig {
         workers: 1,
         cache_capacity: 2,
         ..ServerConfig::default()
     });
-    let programs: Vec<_> = [1, 6, 12].iter().map(|&w| program(w)).collect();
-    for (i, p) in programs.iter().enumerate() {
-        server.register_program(&format!("p{i}"), Arc::clone(p));
+    for (i, extra) in [1, 6, 12].into_iter().enumerate() {
+        server.register_program(&format!("p{i}"), program(extra));
     }
-    // Fill the cache (p0, p1), then insert p2: the LRU entry (p0) is
-    // evicted.  Querying p0 again must rebuild and still be exact.
+    server
+}
+
+#[test]
+fn least_reused_eviction_is_observable_and_never_wrong() {
+    // A hot program keeps its session and memo while one-off programs
+    // pass through: the second one-off evicts the first (never reused),
+    // not the hot session, as evicting the least recently used would.
+    let server = two_session_server();
+    let hot = server.solve(point("p0", 64)).expect("solvable");
+    let repeat = server.solve(point("p0", 64)).expect("solvable");
+    assert!(repeat.session_hit && repeat.memo_hit);
+    for one_off in ["p1", "p2"] {
+        let response = server.solve(point(one_off, 64)).expect("solvable");
+        assert!(!response.session_hit);
+    }
+    let again = server.solve(point("p0", 64)).expect("solvable");
+    assert!(
+        again.session_hit && again.memo_hit,
+        "one-off programs must not push out the hot session"
+    );
+    assert_eq!(
+        hot.points[0].objective.to_bits(),
+        again.points[0].objective.to_bits()
+    );
+    assert_eq!(server.shutdown().cache.evictions, 1);
+
+    let server = two_session_server();
+    // Fill the cache (p0, p1), then insert p2: neither resident was
+    // reused, so the least recently used (p0) is evicted.  Querying p0
+    // again must rebuild and still be exact.
     let first: Vec<_> = (0..3)
         .map(|i| server.solve(point(&format!("p{i}"), 64)).expect("solvable"))
         .collect();
