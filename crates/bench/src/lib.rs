@@ -1118,6 +1118,7 @@ fn sweep_perf_row(
                 cold.lp_pivots += stats.lp_pivots;
                 cold.root_pivots += stats.root_pivots;
                 cold.nodes_explored += stats.nodes_explored;
+                cold.state_bytes_copied += stats.state_bytes_copied;
                 proven &= !stats.budget_exhausted && stats.lp_iteration_limited == 0;
                 let delta = (solution.objective - point.objective).abs()
                     / solution.objective.abs().max(1.0);
@@ -1250,6 +1251,7 @@ pub fn solver_perf_document(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> J
             "cold_solves": s.cold_solves, "cold_pivots": s.cold_pivots,
             "budget_exhausted": s.budget_exhausted,
             "lp_iteration_limited": s.lp_iteration_limited,
+            "state_bytes_copied": s.state_bytes_copied,
             "wall_ms": Json::Fixed(r.wall_ms, 3), "objective": Json::Fixed(r.objective, 6),
         }
     };
@@ -1257,6 +1259,7 @@ pub fn solver_perf_document(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> J
         obj! {
             "lp_pivots": n.stats.lp_pivots, "root_pivots": n.stats.root_pivots,
             "nodes": n.stats.nodes_explored, "chained_roots": n.stats.chained_roots,
+            "state_bytes_copied": n.stats.state_bytes_copied,
             "wall_ms": Json::Fixed(n.wall_ms, 3),
         }
     };
@@ -1279,11 +1282,19 @@ pub fn solver_perf_document(rows: &[SolverPerfRow], sweep: &[SweepPerfRow]) -> J
             "proven": row.proven,
         }
     });
+    // The pass totals of the deterministic copy counter, one per column.
+    let copied = obj! {
+        "warm": rows.iter().map(|r| r.warm.stats.state_bytes_copied).sum::<usize>(),
+        "cold": rows.iter().map(|r| r.cold.stats.state_bytes_copied).sum::<usize>(),
+        "sweep_warm": sweep.iter().map(|r| r.warm.stats.state_bytes_copied).sum::<usize>(),
+        "sweep_cold": sweep.iter().map(|r| r.cold.stats.state_bytes_copied).sum::<usize>(),
+    };
     let timing = "one wall-clock run per solve, warm then cold; each sweep timed once \
                   as a whole, chained then cold per point";
     document(
         timing,
         obj! {
+            "state_bytes_copied": copied,
             "benchmarks": Json::Arr(benchmarks.collect()),
             "sweep": Json::Arr(sweeps.collect()),
         },
@@ -1496,12 +1507,15 @@ impl SimPerfRow {
     }
 }
 
+/// Interleaved timing rounds of [`sim_perf`].
+const SIM_ROUNDS: usize = 15;
+
 /// The simulator-throughput comparison written to `BENCH_sim.json`.
 ///
 /// Timed passes over the same sweep on the IR-walking reference
 /// interpreter, on the decoded engine, and on the decoded engine driven by
 /// the [`BatchRunner`] worker pool.  Per-kernel wall times are the minimum
-/// over five interleaved rounds with a rotated pass order.
+/// over [`SIM_ROUNDS`] interleaved rounds with a rotated pass order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimPerfReport {
     /// Worker threads the batched run used.
@@ -1514,6 +1528,9 @@ pub struct SimPerfReport {
     pub sequential_wall_ms: f64,
     /// Wall time of the batched decoded run, milliseconds.
     pub batched_wall_ms: f64,
+    /// Per round, the reference sweep's wall time over the decoded
+    /// sweep's, both timed in that round.
+    pub round_speedups: Vec<f64>,
     /// Whether every decoded result was bit-identical to the reference
     /// interpreter's (cycles, energy bits, checksum, profile, layout).
     pub decoded_bit_identical: bool,
@@ -1536,12 +1553,21 @@ impl SimPerfReport {
     }
 
     /// Decoded single-thread throughput over reference single-thread
-    /// throughput — the decode-once/run-many payoff.
+    /// throughput — the decode-once/run-many payoff: the median of the
+    /// per-round ratios, so a host slowdown that lands on one engine's pass
+    /// in one round moves one ratio, not the verdict.
     pub fn decode_speedup(&self) -> f64 {
-        if self.sequential_wall_ms <= 0.0 {
+        let mut ratios = self.round_speedups.clone();
+        if ratios.is_empty() {
             return 1.0;
         }
-        self.reference_wall_ms / self.sequential_wall_ms
+        ratios.sort_by(f64::total_cmp);
+        let mid = ratios.len() / 2;
+        if ratios.len() % 2 == 1 {
+            ratios[mid]
+        } else {
+            (ratios[mid - 1] + ratios[mid]) / 2.0
+        }
     }
 
     /// Simulated megacycles per wall-clock second for the batched run.
@@ -1600,8 +1626,8 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
         let _ = board.run_decoded(decoded, &config).expect("kernel runs");
     }
 
-    // Five interleaved rounds with a rotated pass order, keeping each
-    // (kernel, pass) cell's best wall time.  A fixed order systematically
+    // Interleaved rounds with a rotated pass order, keeping each
+    // (kernel, pass) cell's best wall time and each round's engine ratio.  A fixed order systematically
     // penalizes whichever pass runs later (shared and quota-throttled
     // hosts slow down under sustained load — the source of the phantom
     // sub-1.0 "batched slowdown" this file used to report at one thread);
@@ -1616,14 +1642,20 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
     let mut sequential = Vec::new();
     let mut batched_wall_ms = f64::MAX;
     let mut batched = Vec::new();
+    let mut round_speedups = Vec::with_capacity(SIM_ROUNDS);
+    // Times every kernel into its cell and returns the pass's total.
     let time_cells = |cells: &mut [f64], out: &mut Vec<_>, run: &dyn Fn(usize) -> RunResult| {
         out.clear();
+        let mut total = 0.0;
         for (i, cell) in cells.iter_mut().enumerate() {
             let start = std::time::Instant::now();
             let result = run(i);
-            *cell = cell.min(start.elapsed().as_secs_f64() * 1e3);
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            *cell = cell.min(ms);
+            total += ms;
             out.push(result);
         }
+        total
     };
     let run_reference = |i: usize| board.run_reference(&programs[i]).expect("kernel runs");
     let run_decoded = |i: usize| {
@@ -1631,11 +1663,14 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
             .run_decoded(&decoded_programs[i], &config)
             .expect("kernel runs")
     };
-    for round in 0..5 {
+    for round in 0..SIM_ROUNDS {
+        let (mut reference_ms, mut decoded_ms) = (0.0, 0.0);
         for pass in 0..3 {
             match (round + pass) % 3 {
-                0 => time_cells(&mut reference_cells, &mut reference, &run_reference),
-                1 => time_cells(&mut decoded_cells, &mut sequential, &run_decoded),
+                0 => {
+                    reference_ms = time_cells(&mut reference_cells, &mut reference, &run_reference);
+                }
+                1 => decoded_ms = time_cells(&mut decoded_cells, &mut sequential, &run_decoded),
                 _ => {
                     let start = std::time::Instant::now();
                     batched = runner.map(&decoded_programs, |board, d| {
@@ -1644,6 +1679,9 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
                     batched_wall_ms = batched_wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
                 }
             }
+        }
+        if decoded_ms > 0.0 {
+            round_speedups.push(reference_ms / decoded_ms);
         }
     }
 
@@ -1668,6 +1706,7 @@ pub fn sim_perf(board: &Board, levels: &[OptLevel]) -> SimPerfReport {
         reference_wall_ms: reference_cells.iter().sum(),
         sequential_wall_ms: decoded_cells.iter().sum(),
         batched_wall_ms,
+        round_speedups,
         decoded_bit_identical: sequential.iter().zip(&reference).all(|(d, r)| d.bits_eq(r)),
         batched_bit_identical: sequential.iter().zip(&batched).all(|(s, b)| s.bits_eq(b)),
         rows,
@@ -1686,10 +1725,13 @@ pub fn sim_perf_document(report: &SimPerfReport) -> Json {
             "decoded_mcycles_per_s": mcycles(row.decoded_mcycles_per_s()),
         }
     });
-    let timing = "per-kernel min of 5 interleaved rounds, pass order rotated each round; \
-                  batched pass min of 5; decoding untimed";
+    let timing = format!(
+        "per-kernel min of {SIM_ROUNDS} interleaved rounds, pass order rotated each round; \
+         decode_speedup the median of the {SIM_ROUNDS} per-round reference/decoded ratios; \
+         batched pass min of {SIM_ROUNDS}; decoding untimed"
+    );
     document(
-        timing,
+        &timing,
         obj! {
             "threads": report.threads,
             "programs": report.rows.len(),
@@ -1700,6 +1742,9 @@ pub fn sim_perf_document(report: &SimPerfReport) -> Json {
             "reference_mcycles_per_s": mcycles(report.reference_mcycles_per_s()),
             "decoded_mcycles_per_s": mcycles(report.decoded_mcycles_per_s()),
             "decode_speedup": Json::Fixed(report.decode_speedup(), 3),
+            "round_speedups": Json::Arr(
+                report.round_speedups.iter().map(|r| Json::Fixed(*r, 3)).collect()
+            ),
             "speedup": Json::Fixed(report.speedup(), 3),
             "batched_mcycles_per_s": mcycles(report.batched_mcycles_per_s()),
             "decoded_bit_identical": report.decoded_bit_identical,

@@ -20,10 +20,10 @@
 //!   pivot saving branch-and-bound already gets from parent-to-child warm
 //!   starts, applied *across* sweep points, at every point after the
 //!   first.  The solver's fixed search policy (best-bound node selection,
-//!   cover cuts, presolve) composes with the chain: cuts and presolve
-//!   fixings are derived per point against the current budgets and live on
-//!   a solve-local problem copy, so the chained
-//!   root state the session carries always matches the session model's row
+//!   reduced-cost fixing, presolve) composes with the chain: presolve
+//!   fixings and tightened rows are derived per point against the current
+//!   budgets and live on a solve-local problem copy, so the chained root
+//!   state the session carries always matches the session model's row
 //!   layout and the seeded incumbent prunes best-bound queue entries before
 //!   their LPs are ever solved.  A previous optimum that no longer fits (on
 //!   a descent, always) is repaired into a fitting seed first;
@@ -113,6 +113,9 @@ pub struct SweepStats {
     /// cross-point chaining shrinks (the per-node warm-start win inside
     /// each tree is already counted by `BranchBoundStats`).
     pub root_pivots: usize,
+    /// Bytes of warm-start state copied while branching, across all points
+    /// ([`BranchBoundStats::state_bytes_copied`]).
+    pub state_bytes_copied: usize,
 }
 
 /// How a degraded point solve ([`PlacementSession::solve_point_degraded`])
@@ -335,6 +338,7 @@ impl PlacementSession {
         self.stats.nodes_explored += run.stats.nodes_explored;
         self.stats.lp_pivots += run.stats.lp_pivots;
         self.stats.root_pivots += run.stats.root_pivots;
+        self.stats.state_bytes_copied += run.stats.state_bytes_copied;
         if run.root_state.is_some() {
             self.root = run.root_state;
         }
@@ -439,6 +443,7 @@ impl PlacementSession {
                 self.stats.nodes_explored += attempt.nodes_explored;
                 self.stats.lp_pivots += attempt.lp_pivots;
                 self.stats.root_pivots += attempt.root_pivots;
+                self.stats.state_bytes_copied += attempt.state_bytes_copied;
                 Ok(DegradedPoint {
                     point: SweepPoint {
                         r_spare,

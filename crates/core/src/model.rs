@@ -175,22 +175,38 @@ impl PlacementModel {
                     0.0,
                 );
             }
-            // Linearization of z = r·i:  z ≤ r, z ≤ i, z ≥ r + i − 1.
-            problem.add_constraint(
-                LinearExpr::from_terms([(v.both, 1.0), (v.in_ram, -1.0)]),
-                Cmp::Le,
-                0.0,
-            );
-            problem.add_constraint(
-                LinearExpr::from_terms([(v.both, 1.0), (v.instrumented, -1.0)]),
-                Cmp::Le,
-                0.0,
-            );
-            problem.add_constraint(
-                LinearExpr::from_terms([(v.both, 1.0), (v.in_ram, -1.0), (v.instrumented, -1.0)]),
-                Cmp::Ge,
-                -1.0,
-            );
+            // Linearization of z = r·i, only the side that can bind.  `z`
+            // appears in no other row, so with c_z = F·T·Δ < 0 every LP and
+            // ILP optimum pushes z up to min(r, i), which satisfies
+            // z ≥ r + i − 1 for r, i ≤ 1; with c_z > 0 every optimum pushes
+            // z down to max(0, r + i − 1), which satisfies z ≤ r and z ≤ i
+            // for r, i ≤ 1.  The omitted rows therefore never cut off an
+            // optimum, and the LP bound is unchanged.  With c_z = 0 nothing
+            // pins z, so all three rows stay.
+            let c_z = p.frequency as f64 * p.instr_cycles as f64 * delta;
+            if c_z <= 0.0 {
+                problem.add_constraint(
+                    LinearExpr::from_terms([(v.both, 1.0), (v.in_ram, -1.0)]),
+                    Cmp::Le,
+                    0.0,
+                );
+                problem.add_constraint(
+                    LinearExpr::from_terms([(v.both, 1.0), (v.instrumented, -1.0)]),
+                    Cmp::Le,
+                    0.0,
+                );
+            }
+            if c_z >= 0.0 {
+                problem.add_constraint(
+                    LinearExpr::from_terms([
+                        (v.both, 1.0),
+                        (v.in_ram, -1.0),
+                        (v.instrumented, -1.0),
+                    ]),
+                    Cmp::Ge,
+                    -1.0,
+                );
+            }
         }
 
         // Eq. 7: RAM budget.

@@ -2,10 +2,10 @@
 //!
 //! Branching fixes one fractional binary variable to 0 and to 1 in turn; the
 //! LP relaxation of each node provides the bound used for pruning.  The
-//! search follows one fixed policy built from four mechanisms; turning off
-//! best-bound order, reduced-cost fixing, presolve or cover cuts each made
-//! the placement searches measurably worse (see `docs/ARCHITECTURE.md`,
-//! "Why this search policy"), so none of them is optional:
+//! search follows one fixed policy built from four mechanisms, each kept
+//! because a measurement on the placement searches showed it paying for
+//! itself (see `docs/ARCHITECTURE.md`, "Why this search policy"); the cover
+//! cuts that once made a fifth were measured paying nothing and deleted:
 //!
 //! * **Best-bound node selection with plunging**: the open list is a
 //!   priority queue ordered by the parent's LP bound, and after branching
@@ -28,14 +28,13 @@
 //!   ([`BranchBoundStats::rc_fixed`] counts them).  It pays only once an
 //!   incumbent exists, so it works best with a seeded solve
 //!   ([`BranchBound::solve_chained`]).
-//! * **Cover cuts and presolve** (the `cuts` module): the placement model's
+//! * **Knapsack presolve** (the `cuts` module): the placement model's
 //!   budget rows are knapsacks, so before the tree starts a presolve pass
-//!   fixes trivially flash-/RAM-resident blocks and tightens coefficients,
-//!   and at the root and shallow nodes violated lifted cover inequalities
-//!   are appended as rows.  Cuts and tightened rows go to a **solve-local
-//!   copy** of the problem — the caller's problem, its row indices, and the
-//!   pre-cut root state used for sweep chaining are never disturbed — and
-//!   states snapshotted before a cut existed are upgraded by
+//!   fixes trivially flash-/RAM-resident blocks and tightens coefficients.
+//!   The tightened rows are appended once, at a fractional root, to a
+//!   **solve-local copy** of the problem — the caller's problem, its row
+//!   indices, and the root state used for sweep chaining are never
+//!   disturbed — and the root state is upgraded by
 //!   [`crate::SimplexSolver::resolve`], which appends the missing rows.
 //!
 //! Child relaxations are **warm-started**: a branch fixing only tightens one
@@ -43,18 +42,17 @@
 //! so each child is re-solved with the dual simplex from the parent's
 //! [`LpState`] instead of a cold two-phase solve.  Best-bound order expands
 //! nodes out of creation order, but the snapshots don't care: each carries
-//! its full bound state, and row growth is healed by appending the missing
-//! rows.  [`BranchBoundStats`] reports the pivot counts of every kind of
-//! solve.
+//! its full bound state.  [`BranchBoundStats`] reports the pivot counts of
+//! every kind of solve.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::basis::LpState;
 use crate::cuts;
-use crate::expr::{LinearExpr, Var};
+use crate::expr::Var;
 use crate::problem::{Cmp, Problem, Sense, Solution, SolveError};
 use crate::simplex::{SimplexOutcome, SimplexSolver};
 
@@ -75,12 +73,13 @@ pub struct BranchBoundStats {
     /// suboptimal even when the node budget was never exhausted.
     pub lp_iteration_limited: usize,
     /// Total simplex pivots across every LP solve of the run (node
-    /// relaxations and cut re-solves alike).
+    /// relaxations and the root re-solve over tightened rows alike).
     pub lp_pivots: usize,
     /// Pivots the **root** relaxation alone took (a cold two-phase solve,
     /// or a dual-simplex re-entry for chained sweeps — see
-    /// [`BranchBound::solve_chained`]).  Cut-plane re-solves at the root are
-    /// *not* counted here (see [`cut_pivots`](BranchBoundStats::cut_pivots)).
+    /// [`BranchBound::solve_chained`]).  The re-solve over presolve's
+    /// tightened rows is *not* counted here (see
+    /// [`cut_pivots`](BranchBoundStats::cut_pivots)).
     pub root_pivots: usize,
     /// Whether the search started from a feasible incumbent seeded by the
     /// caller (see [`BranchBound::solve_chained`]).
@@ -93,17 +92,23 @@ pub struct BranchBoundStats {
     pub warm_solves: usize,
     /// Pivots spent in warm-started solves.
     pub warm_pivots: usize,
-    /// Pivots spent re-solving after cut rows were appended (root and
-    /// shallow-node cut loops).  `lp_pivots = warm + cold + cut` pivots.
+    /// Pivots spent re-solving the root after presolve's tightened rows
+    /// were appended.  `lp_pivots = warm + cold + cut` pivots.
     pub cut_pivots: usize,
-    /// Rows appended to the solve-local problem by the cut machinery:
-    /// lifted cover cuts plus tightened knapsack copies from presolve.
+    /// Rows appended to the solve-local problem: the tightened knapsack
+    /// copies from presolve.
     pub cuts_added: usize,
     /// Variables fixed by the presolve pass before the tree started.
     pub presolve_fixed: usize,
     /// Binaries fixed at a node because their reduced cost alone exceeded
     /// the gap to the incumbent (each fixing holds for the node's subtree).
     pub rc_fixed: usize,
+    /// Bytes of warm-start [`LpState`] snapshots copied while branching:
+    /// a child solved while its sibling still shares the parent's state
+    /// copies it, and the sibling solved last takes it without a copy.
+    /// Each copy counts its stored size (nonbasic tableau plus per-row and
+    /// per-column vectors), so the count is deterministic.
+    pub state_bytes_copied: usize,
     /// Wall-clock time of the solve in milliseconds.
     pub wall_ms: f64,
     /// Whether the solve was cut short by [`BranchBound::time_limit`].  The
@@ -132,8 +137,9 @@ pub struct ChainedSolve {
     pub stats: BranchBoundStats,
     /// The solved root relaxation, for chaining into the next solve
     /// (`None` only if the root LP produced no reusable state).  Captured
-    /// **before** any cut rows are appended, so its dimensions always match
-    /// the caller's problem and survive into the next sweep point.
+    /// **before** presolve's tightened rows are appended, so its dimensions
+    /// always match the caller's problem and survive into the next sweep
+    /// point.
     pub root_state: Option<LpState>,
     /// Whether the root relaxation was warm-started from a previous chained
     /// state rather than solved cold.
@@ -281,21 +287,6 @@ impl PseudoCosts {
 /// pushed beyond the budget carry no state and re-solve cold — correctness
 /// is unaffected, only the warm-start saving for those nodes.
 const WARM_STATE_MEMORY_BUDGET: usize = 64 << 20;
-
-/// Minimum violation for a cover cut to be worth appending.
-const COVER_VIOLATION_THRESHOLD: f64 = 1e-4;
-
-/// Ceiling on separate-and-resolve rounds per node.
-const MAX_CUT_ROUNDS: usize = 8;
-
-/// Maximum node depth at which cut separation still runs (the root is depth
-/// 0; cuts stay global, so deeper separation only trades LP size for bound
-/// quality).
-const CUT_DEPTH: usize = 2;
-
-/// Ceiling on the number of rows the cut machinery may append per solve
-/// (cover cuts plus tightened knapsack copies).
-const MAX_CUTS: usize = 24;
 
 /// Approximate heap footprint of one [`LpState`] snapshot: the stored
 /// (nonbasic) tableau entries plus the per-row and per-column vectors.
@@ -462,29 +453,21 @@ impl BranchBound {
             problem.is_better(bound, best) && (bound - best).abs() > margin
         };
 
-        // Knapsack analysis: presolve fixings/tightenings and the rows cover
-        // separation will scan.  Everything derived here is valid only at
-        // the problem's *current* right-hand sides, which is fine — it lives
-        // and dies with this solve.
-        let knap = cuts::knapsack_rows(problem, self.tolerance);
-        let pre = cuts::presolve(problem, &knap, self.tolerance);
+        // Knapsack presolve: fixings and tightened rows, valid only at the
+        // problem's *current* right-hand sides, which is fine — they live
+        // and die with this solve.
+        let pre = cuts::presolve(
+            problem,
+            &cuts::knapsack_rows(problem, self.tolerance),
+            self.tolerance,
+        );
         if pre.infeasible {
             return Err(fail(stats, SolveError::Infeasible));
         }
         stats.presolve_fixed = pre.num_fixed();
-        let sep_sources: Vec<(Vec<(Var, f64)>, f64)> = knap
-            .iter()
-            .map(|r| {
-                let rhs = problem.rhs(r.row).unwrap_or(f64::INFINITY);
-                (r.terms.clone(), rhs)
-            })
-            .chain(pre.tightened.iter().map(|(e, b)| (e.terms().collect(), *b)))
-            .collect();
-        let mut seen_cuts: BTreeSet<(Vec<usize>, usize)> = BTreeSet::new();
-        // Cuts and tightened rows are appended to this lazily created copy;
-        // the caller's problem keeps its row layout for RHS chaining.
+        // The tightened rows are appended to this lazily created copy; the
+        // caller's problem keeps its row layout for RHS chaining.
         let mut work: Option<Problem> = None;
-        let mut tightened_appended = false;
 
         // A feasible seed becomes the initial incumbent: its objective is a
         // proven bound, so the search only explores what the moved
@@ -570,11 +553,12 @@ impl BranchBound {
                         // parent's state; everything earlier is already baked
                         // in.  The sibling explored first still shares the Rc
                         // (clone); the second child is the last user and
-                        // takes the state without copying the tableau.  A
-                        // snapshot that predates newer cut rows is upgraded
-                        // by appending them before the dual repair.
+                        // takes the state without copying the tableau.
                         let last = *node.fixings.last().expect("warm node has a fixing");
-                        let state = Rc::try_unwrap(state).unwrap_or_else(|rc| (*rc).clone());
+                        let state = Rc::try_unwrap(state).unwrap_or_else(|rc| {
+                            stats.state_bytes_copied += state_bytes(&rc);
+                            (*rc).clone()
+                        });
                         stats.warm_solves += 1;
                         let r = self.lp.resolve(cur, state, &[last]);
                         stats.warm_pivots += r.pivots;
@@ -632,62 +616,20 @@ impl BranchBound {
                 pc.record(step, degradation, self.tolerance);
             }
 
-            // Cutting-plane loop at shallow depths: append violated lifted
-            // cover cuts (and, once, the presolve-tightened rows) to the
-            // solve-local problem and dual-repair the node state over the
-            // new rows.  Cuts are globally valid at these budgets, so they
-            // strengthen every later node too.
-            if node.depth <= CUT_DEPTH && state.is_some() {
-                let mut subtree_done = false;
-                for _ in 0..MAX_CUT_ROUNDS {
-                    if is_integral(&relaxed, &binaries, self.tolerance) {
-                        break;
+            // At a fractional root, append presolve's tightened rows to the
+            // solve-local problem once and dual-repair the root state over
+            // them; every later node inherits them.  They cut off no integer
+            // point at these budgets.
+            if node.depth == 0
+                && !pre.tightened.is_empty()
+                && !is_integral(&relaxed, &binaries, self.tolerance)
+            {
+                if let Some(st) = state.take() {
+                    let w = work.insert(problem.clone());
+                    for (expr, rhs) in &pre.tightened {
+                        w.add_constraint(expr.clone(), Cmp::Le, *rhs);
                     }
-                    let append_tightened =
-                        node.depth == 0 && !tightened_appended && !pre.tightened.is_empty();
-                    let mut fresh: Vec<(Vec<Var>, f64)> = Vec::new();
-                    if stats.cuts_added < MAX_CUTS {
-                        let budget = MAX_CUTS - stats.cuts_added;
-                        for (terms, rhs) in &sep_sources {
-                            if fresh.len() >= budget {
-                                break;
-                            }
-                            if let Some((vars, cut_rhs)) = cuts::separate_cover(
-                                terms,
-                                *rhs,
-                                &relaxed.values,
-                                COVER_VIOLATION_THRESHOLD,
-                            ) {
-                                let key = (
-                                    vars.iter().map(|v| v.index()).collect::<Vec<_>>(),
-                                    cut_rhs as usize,
-                                );
-                                if seen_cuts.insert(key) {
-                                    fresh.push((vars, cut_rhs));
-                                }
-                            }
-                        }
-                    }
-                    if !append_tightened && fresh.is_empty() {
-                        break;
-                    }
-                    let w = work.get_or_insert_with(|| problem.clone());
-                    if append_tightened {
-                        for (expr, rhs) in &pre.tightened {
-                            w.add_constraint(expr.clone(), Cmp::Le, *rhs);
-                            stats.cuts_added += 1;
-                        }
-                        tightened_appended = true;
-                    }
-                    for (vars, cut_rhs) in fresh {
-                        w.add_constraint(
-                            LinearExpr::from_terms(vars.iter().map(|v| (*v, 1.0))),
-                            Cmp::Le,
-                            cut_rhs,
-                        );
-                        stats.cuts_added += 1;
-                    }
-                    let st = state.take().expect("cut loop requires a state");
+                    stats.cuts_added += pre.tightened.len();
                     let r = self.lp.resolve(w, st, &[]);
                     stats.cut_pivots += r.pivots;
                     stats.lp_pivots += r.pivots;
@@ -696,25 +638,17 @@ impl BranchBound {
                             relaxed = s;
                             state = r.state;
                         }
-                        SimplexOutcome::Infeasible | SimplexOutcome::Unbounded => {
-                            // Cuts never exclude an integer point, so an
-                            // infeasible cut LP proves this subtree holds no
-                            // integer solution.
-                            subtree_done = true;
-                            break;
-                        }
+                        // Tightened rows exclude no integer point, so an
+                        // infeasible repaired root holds no integer solution.
+                        SimplexOutcome::Infeasible | SimplexOutcome::Unbounded => continue,
                         SimplexOutcome::IterationLimit => {
                             stats.lp_iteration_limited += 1;
-                            subtree_done = true;
-                            break;
+                            continue;
                         }
                         SimplexOutcome::InvalidModel(why) => {
                             return Err(fail(stats, SolveError::InvalidModel(why)));
                         }
                     }
-                }
-                if subtree_done {
-                    continue;
                 }
             }
 

@@ -15,7 +15,7 @@
 //!   right-hand sides moved ([`simplex`]),
 //! * a **branch-and-bound** 0-1 ILP solver built on top of it, with one
 //!   fixed search policy (best-bound order with plunging, pseudo-cost
-//!   branching, knapsack presolve and cover cuts), which warm-starts every
+//!   branching, reduced-cost fixing and knapsack presolve), which warm-starts every
 //!   child node with the dual simplex from the parent's optimal basis
 //!   ([`branch_bound`], [`basis`]),
 //! * an **exhaustive** enumerator for small instances, used both to validate

@@ -1,8 +1,8 @@
 //! Property-based test for the search-quality machinery: on random
-//! placement-shaped instances the default solver — presolve, cover cuts and
-//! best-bound order together — must return the exhaustive optimum.  The
-//! validity of each cut and tightened row on its own is checked exhaustively
-//! in the `cuts` module's unit tests.
+//! placement-shaped instances the default solver — presolve with its
+//! tightened rows, reduced-cost fixing and best-bound order together — must
+//! return the exhaustive optimum.  The validity of each tightened row on its
+//! own is checked exhaustively in the `cuts` module's unit tests.
 
 use flashram_ilp::{
     BranchBound, Cmp, ExhaustiveSolver, LinearExpr, Problem, Sense, SolveError, Var,
@@ -55,12 +55,12 @@ proptest! {
         let n = values.len().min(weights.len()).min(weights2.len());
         let p = build_problem(&values[..n], &weights[..n], &weights2[..n], cap_frac, use_second);
         let exact = ExhaustiveSolver::new().solve(&p);
-        let cut = BranchBound::new().solve(&p);
-        match (exact, cut) {
+        let bb = BranchBound::new().solve(&p);
+        match (exact, bb) {
             (Ok(e), Ok(c)) => {
-                prop_assert!(p.is_feasible(&c.values, 1e-6), "cut-augmented solve returned infeasible point");
+                prop_assert!(p.is_feasible(&c.values, 1e-6), "the solve returned an infeasible point");
                 prop_assert!((e.objective - c.objective).abs() < 1e-5,
-                    "cuts changed the optimum: exhaustive {} vs cut-augmented {}", e.objective, c.objective);
+                    "presolve changed the optimum: exhaustive {} vs branch-and-bound {}", e.objective, c.objective);
             }
             (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
             (e, c) => prop_assert!(false, "solver disagreement: {e:?} vs {c:?}"),
