@@ -1515,7 +1515,7 @@ const SIM_ROUNDS: usize = 15;
 /// Timed passes over the same sweep on the IR-walking reference
 /// interpreter, on the decoded engine, and on the decoded engine driven by
 /// the [`BatchRunner`] worker pool.  Per-kernel wall times are the minimum
-/// over [`SIM_ROUNDS`] interleaved rounds with a rotated pass order.
+/// over 15 interleaved rounds with a rotated pass order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimPerfReport {
     /// Worker threads the batched run used.

@@ -21,11 +21,11 @@
 //!   starts, applied *across* sweep points, at every point after the
 //!   first.  The solver's fixed search policy (best-bound node selection,
 //!   reduced-cost fixing, presolve) composes with the chain: presolve
-//!   fixings and tightened rows are derived per point against the current
-//!   budgets and live on a solve-local problem copy, so the chained root
-//!   state the session carries always matches the session model's row
-//!   layout and the seeded incumbent prunes best-bound queue entries before
-//!   their LPs are ever solved.  A previous optimum that no longer fits (on
+//!   fixings are derived per point against the current budgets and applied
+//!   as bounds, never as rows, so the chained root state the session
+//!   carries always matches the session model's row layout, and the seeded
+//!   incumbent prunes best-bound queue entries before their LPs are ever
+//!   solved.  A previous optimum that no longer fits (on
 //!   a descent, always) is repaired into a fitting seed first;
 //! * [`PlacementSession::enumerate_frontier`] goes beyond grid sweeps and
 //!   computes the **exact Pareto staircase**: every distinct optimal

@@ -159,99 +159,6 @@ impl LpState {
             *xb -= a * step;
         }
     }
-
-    /// Append constraint rows to a solved state, preserving every layout
-    /// invariant the warm-start paths rely on — in particular that the slack
-    /// of row `r` is column `n + r`, which
-    /// [`reenter`](crate::SimplexSolver::reenter) reads as `B⁻¹·e_r`.
-    ///
-    /// Each entry is `(structural coefficients, rhs, slack lower, slack
-    /// upper)`.  The new slack columns are spliced in *before* the artificial
-    /// block (so they land exactly at `n + old_rows ..`), every basis and
-    /// stored-column reference into the artificial block shifts accordingly,
-    /// and each new tableau row is eliminated against the current basic
-    /// columns so it is expressed in `B⁻¹A` form like the existing rows.  The
-    /// new slacks are basic, so the stored width does not change.  The new
-    /// row's slack enters the basis at value `rhs − a·x` for the current
-    /// point `x`; when that violates the slack's bounds (the row cuts the
-    /// current point off) the state is primal infeasible but still **dual
-    /// feasible** — its reduced costs are untouched because the new slacks
-    /// cost zero — so a dual-simplex repair restores optimality.  This is
-    /// what lets branch-and-bound add cutting planes mid-search and keep
-    /// warm-starting: states snapshotted *before* a cut was added are
-    /// upgraded with this method when a node is expanded out of order.
-    pub(crate) fn append_rows(&mut self, rows: &[(Vec<f64>, f64, f64, f64)]) {
-        let k = rows.len();
-        if k == 0 {
-            return;
-        }
-        let insert = self.artificial_start;
-        let old_rows = self.num_rows();
-
-        // Splice the k new slack columns in front of the artificials.  They
-        // are basic, so they get no stored position.
-        self.lo
-            .splice(insert..insert, rows.iter().map(|&(_, _, slo, _)| slo));
-        self.up
-            .splice(insert..insert, rows.iter().map(|&(_, _, _, sup)| sup));
-        self.at_upper
-            .splice(insert..insert, std::iter::repeat_n(false, k));
-        self.d.splice(insert..insert, std::iter::repeat_n(0.0, k));
-        self.row_of
-            .splice(insert..insert, std::iter::repeat_n(usize::MAX, k));
-        self.pos_of
-            .splice(insert..insert, std::iter::repeat_n(usize::MAX, k));
-        for b in self.basis.iter_mut().chain(&mut self.nonbasic) {
-            if *b >= insert {
-                *b += k;
-            }
-        }
-        self.artificial_start += k;
-        self.cols += k;
-        // Re-point the shifted artificial columns.
-        for (row, &b) in self.basis.iter().enumerate() {
-            self.row_of[b] = row;
-        }
-
-        // Build each new row in B⁻¹A form with its slack basic.
-        for (i, (coeffs, rhs, _, _)) in rows.iter().enumerate() {
-            debug_assert_eq!(coeffs.len(), self.n);
-            let slack_col = insert + i;
-            // Slack value at the current point, from the *original* row.
-            let dot: f64 = coeffs
-                .iter()
-                .enumerate()
-                .map(|(j, &c)| c * self.value_of(j))
-                .sum();
-            let xb_new = rhs - dot;
-
-            // The row over the stored columns: only structurals have a
-            // coefficient (older slacks and artificials have none).
-            let mut new_row: Vec<f64> = self
-                .nonbasic
-                .iter()
-                .map(|&j| if j < self.n { coeffs[j] } else { 0.0 })
-                .collect();
-            // Eliminate against the existing basic columns: each is a unit
-            // column across the old rows, so one pass suffices, and its
-            // factor is the row's own coefficient — nonzero only for a
-            // structural.  The new rows' own slacks never appear in older
-            // rows, so new rows need no elimination against each other.
-            for (r, &b) in self.basis[..old_rows].iter().enumerate() {
-                let factor = if b < self.n { coeffs[b] } else { 0.0 };
-                if factor != 0.0 {
-                    for (f, p) in new_row.iter_mut().zip(self.row(r)) {
-                        *f -= factor * p;
-                    }
-                }
-            }
-            self.a.extend_from_slice(&new_row);
-            self.xb.push(xb_new);
-            self.basis.push(slack_col);
-            self.row_of[slack_col] = old_rows + i;
-            self.rhs.push(*rhs);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -321,11 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn compact_layout_survives_appends_fixings_and_rhs_changes() {
+    fn compact_layout_survives_fixings_and_rhs_changes() {
         // Two rows (a `≥` with a positive right-hand side and an equality)
         // cannot start with their slack basic, so the cold solve needs
-        // artificials; once phase 1 drives them out they are stored columns
-        // above the insertion point of appended slacks.
+        // artificials; once phase 1 drives them out they are stored columns.
         let mut p = Problem::new(Sense::Maximize);
         let xs: Vec<Var> = (0..5).map(|i| p.add_binary(format!("x{i}"))).collect();
         let y = p.add_continuous("y", 0.0, Some(3.0));
@@ -363,21 +269,6 @@ mod tests {
         assert_layout(&state);
         assert_eq!(state.num_artificials(), 2);
         assert!(state.nonbasic.iter().any(|&j| j >= state.artificial_start));
-
-        // Two cut rows: both slacks land in front of the stored artificials.
-        p.add_constraint(
-            LinearExpr::from_terms([(xs[0], 1.0), (xs[2], 1.0)]),
-            Cmp::Le,
-            1.0,
-        );
-        p.add_constraint(
-            LinearExpr::from_terms([(xs[2], 1.0), (xs[3], 1.0), (xs[4], 1.0)]),
-            Cmp::Le,
-            1.5,
-        );
-        let state = assert_matches_cold(&p, solver.resolve(&p, state, &[]), &[]);
-        assert_eq!(state.num_rows(), 6);
-        assert_eq!(state.artificial_start, 6 + 6);
 
         let fixing = [(xs[0], 0.0)];
         let state = assert_matches_cold(&p, solver.resolve(&p, state, &fixing), &fixing);

@@ -4,8 +4,10 @@
 //! LP relaxation of each node provides the bound used for pruning.  The
 //! search follows one fixed policy built from four mechanisms, each kept
 //! because a measurement on the placement searches showed it paying for
-//! itself (see `docs/ARCHITECTURE.md`, "Why this search policy"); the cover
-//! cuts that once made a fifth were measured paying nothing and deleted:
+//! itself (see `docs/ARCHITECTURE.md`, "Why this search policy").  Cover
+//! cuts, presolve's coefficient-tightened rows and its objective-only
+//! fixing were measured paying nothing and deleted, so the search never
+//! adds a row:
 //!
 //! * **Best-bound node selection with plunging**: the open list is a
 //!   priority queue ordered by the parent's LP bound, and after branching
@@ -28,14 +30,12 @@
 //!   ([`BranchBoundStats::rc_fixed`] counts them).  It pays only once an
 //!   incumbent exists, so it works best with a seeded solve
 //!   ([`BranchBound::solve_chained`]).
-//! * **Knapsack presolve** (the `cuts` module): the placement model's
-//!   budget rows are knapsacks, so before the tree starts a presolve pass
-//!   fixes trivially flash-/RAM-resident blocks and tightens coefficients.
-//!   The tightened rows are appended once, at a fractional root, to a
-//!   **solve-local copy** of the problem — the caller's problem, its row
-//!   indices, and the root state used for sweep chaining are never
-//!   disturbed — and the root state is upgraded by
-//!   [`crate::SimplexSolver::resolve`], which appends the missing rows.
+//! * **Knapsack presolve** (the `presolve` module): the placement model's
+//!   budget rows are knapsacks, so before the tree starts every block whose
+//!   size alone overflows a budget row is fixed flash-resident.  The
+//!   fixings ride on the root node as variable bounds, never as rows, so
+//!   the caller's problem, its row indices and the root state used for
+//!   sweep chaining always keep one shape.
 //!
 //! Child relaxations are **warm-started**: a branch fixing only tightens one
 //! variable's bounds, which leaves the parent's optimal basis dual feasible,
@@ -51,9 +51,9 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::basis::LpState;
-use crate::cuts;
 use crate::expr::Var;
-use crate::problem::{Cmp, Problem, Sense, Solution, SolveError};
+use crate::presolve;
+use crate::problem::{Problem, Sense, Solution, SolveError};
 use crate::simplex::{SimplexOutcome, SimplexSolver};
 
 /// Statistics about a branch-and-bound run.
@@ -72,14 +72,12 @@ pub struct BranchBoundStats {
     /// subtrees are skipped, so a nonzero count means the incumbent may be
     /// suboptimal even when the node budget was never exhausted.
     pub lp_iteration_limited: usize,
-    /// Total simplex pivots across every LP solve of the run (node
-    /// relaxations and the root re-solve over tightened rows alike).
+    /// Total simplex pivots across every LP solve of the run:
+    /// `lp_pivots = warm_pivots + cold_pivots`.
     pub lp_pivots: usize,
     /// Pivots the **root** relaxation alone took (a cold two-phase solve,
     /// or a dual-simplex re-entry for chained sweeps — see
-    /// [`BranchBound::solve_chained`]).  The re-solve over presolve's
-    /// tightened rows is *not* counted here (see
-    /// [`cut_pivots`](BranchBoundStats::cut_pivots)).
+    /// [`BranchBound::solve_chained`]).
     pub root_pivots: usize,
     /// Whether the search started from a feasible incumbent seeded by the
     /// caller (see [`BranchBound::solve_chained`]).
@@ -92,11 +90,11 @@ pub struct BranchBoundStats {
     pub warm_solves: usize,
     /// Pivots spent in warm-started solves.
     pub warm_pivots: usize,
-    /// Pivots spent re-solving the root after presolve's tightened rows
-    /// were appended.  `lp_pivots = warm + cold + cut` pivots.
+    /// Always 0: the search appends no rows, so no pivot repairs one.
+    /// Kept so existing reports keep their field.
     pub cut_pivots: usize,
-    /// Rows appended to the solve-local problem: the tightened knapsack
-    /// copies from presolve.
+    /// Always 0: the search appends no rows.  Kept so existing reports keep
+    /// their field.
     pub cuts_added: usize,
     /// Variables fixed by the presolve pass before the tree started.
     pub presolve_fixed: usize,
@@ -136,10 +134,9 @@ pub struct ChainedSolve {
     /// Search statistics of this solve.
     pub stats: BranchBoundStats,
     /// The solved root relaxation, for chaining into the next solve
-    /// (`None` only if the root LP produced no reusable state).  Captured
-    /// **before** presolve's tightened rows are appended, so its dimensions
-    /// always match the caller's problem and survive into the next sweep
-    /// point.
+    /// (`None` only if the root LP produced no reusable state).  The search
+    /// adds no rows, so its dimensions always match the caller's problem
+    /// and survive into the next sweep point.
     pub root_state: Option<LpState>,
     /// Whether the root relaxation was warm-started from a previous chained
     /// state rather than solved cold.
@@ -288,18 +285,19 @@ impl PseudoCosts {
 /// is unaffected, only the warm-start saving for those nodes.
 const WARM_STATE_MEMORY_BUDGET: usize = 64 << 20;
 
+/// Whether a solved state of `bytes` may go to both children of a node
+/// while `retained_entries` frontier entries already hold a state: each
+/// entry is charged half of the state it shares with its sibling, and the
+/// total must stay within [`WARM_STATE_MEMORY_BUDGET`].
+fn fits_warm_state_budget(retained_entries: usize, bytes: usize) -> bool {
+    (retained_entries + 2) * (bytes / 2) <= WARM_STATE_MEMORY_BUDGET
+}
+
 /// Approximate heap footprint of one [`LpState`] snapshot: the stored
 /// (nonbasic) tableau entries plus the per-row and per-column vectors.
 fn state_bytes(state: &LpState) -> usize {
     let (rows, cols, width) = (state.num_rows(), state.num_cols(), state.width());
     8 * (rows * width + 2 * rows + 5 * cols + width)
-}
-
-fn is_integral(solution: &Solution, binaries: &[Var], tol: f64) -> bool {
-    binaries.iter().all(|v| {
-        let val = solution.value(*v);
-        (val - val.round()).abs() <= tol
-    })
 }
 
 impl BranchBound {
@@ -453,21 +451,18 @@ impl BranchBound {
             problem.is_better(bound, best) && (bound - best).abs() > margin
         };
 
-        // Knapsack presolve: fixings and tightened rows, valid only at the
-        // problem's *current* right-hand sides, which is fine — they live
-        // and die with this solve.
-        let pre = cuts::presolve(
+        // Knapsack presolve: fixings valid only at the problem's *current*
+        // right-hand sides, which is fine — they live and die with this
+        // solve.
+        let pre = presolve::presolve(
             problem,
-            &cuts::knapsack_rows(problem, self.tolerance),
+            &presolve::knapsack_rows(problem, self.tolerance),
             self.tolerance,
         );
         if pre.infeasible {
             return Err(fail(stats, SolveError::Infeasible));
         }
-        stats.presolve_fixed = pre.num_fixed();
-        // The tightened rows are appended to this lazily created copy; the
-        // caller's problem keeps its row layout for RHS chaining.
-        let mut work: Option<Problem> = None;
+        stats.presolve_fixed = pre.fixings.len();
 
         // A feasible seed becomes the initial incumbent: its objective is a
         // proven bound, so the search only explores what the moved
@@ -488,7 +483,7 @@ impl BranchBound {
         // The dive slot: the rounded-side child explored immediately after
         // its parent (plunging).  The root starts here.
         let mut dive: Option<Node> = Some(Node {
-            fixings: pre.fixings.clone(),
+            fixings: pre.fixings,
             parent_state: None,
             bound: problem.worst_objective(),
             depth: 0,
@@ -545,32 +540,26 @@ impl BranchBound {
                 let r = self.lp.reenter(problem, warm_root.clone(), &node.fixings);
                 stats.warm_pivots += r.pivots;
                 r
+            } else if let Some(state) = warm_state {
+                // Only the final fixing is new relative to the parent's
+                // state; everything earlier is already baked in.  The
+                // sibling explored first still shares the Rc (clone); the
+                // second child is the last user and takes the state without
+                // copying the tableau.
+                let last = *node.fixings.last().expect("warm node has a fixing");
+                let state = Rc::try_unwrap(state).unwrap_or_else(|rc| {
+                    stats.state_bytes_copied += state_bytes(&rc);
+                    (*rc).clone()
+                });
+                stats.warm_solves += 1;
+                let r = self.lp.resolve(problem, state, &[last]);
+                stats.warm_pivots += r.pivots;
+                r
             } else {
-                let cur: &Problem = work.as_ref().unwrap_or(problem);
-                match warm_state {
-                    Some(state) => {
-                        // Only the final fixing is new relative to the
-                        // parent's state; everything earlier is already baked
-                        // in.  The sibling explored first still shares the Rc
-                        // (clone); the second child is the last user and
-                        // takes the state without copying the tableau.
-                        let last = *node.fixings.last().expect("warm node has a fixing");
-                        let state = Rc::try_unwrap(state).unwrap_or_else(|rc| {
-                            stats.state_bytes_copied += state_bytes(&rc);
-                            (*rc).clone()
-                        });
-                        stats.warm_solves += 1;
-                        let r = self.lp.resolve(cur, state, &[last]);
-                        stats.warm_pivots += r.pivots;
-                        r
-                    }
-                    None => {
-                        stats.cold_solves += 1;
-                        let r = self.lp.solve_tracked(cur, &node.fixings);
-                        stats.cold_pivots += r.pivots;
-                        r
-                    }
-                }
+                stats.cold_solves += 1;
+                let r = self.lp.solve_tracked(problem, &node.fixings);
+                stats.cold_pivots += r.pivots;
+                r
             };
             stats.lp_pivots += result.pivots;
             if node.depth == 0 {
@@ -580,7 +569,7 @@ impl BranchBound {
                 }
             }
 
-            let (mut relaxed, mut state) = match result.outcome {
+            let (relaxed, mut state) = match result.outcome {
                 SimplexOutcome::Optimal(s) => (s, result.state),
                 SimplexOutcome::Infeasible => continue,
                 SimplexOutcome::Unbounded => {
@@ -614,42 +603,6 @@ impl BranchBound {
                 }
                 .max(0.0);
                 pc.record(step, degradation, self.tolerance);
-            }
-
-            // At a fractional root, append presolve's tightened rows to the
-            // solve-local problem once and dual-repair the root state over
-            // them; every later node inherits them.  They cut off no integer
-            // point at these budgets.
-            if node.depth == 0
-                && !pre.tightened.is_empty()
-                && !is_integral(&relaxed, &binaries, self.tolerance)
-            {
-                if let Some(st) = state.take() {
-                    let w = work.insert(problem.clone());
-                    for (expr, rhs) in &pre.tightened {
-                        w.add_constraint(expr.clone(), Cmp::Le, *rhs);
-                    }
-                    stats.cuts_added += pre.tightened.len();
-                    let r = self.lp.resolve(w, st, &[]);
-                    stats.cut_pivots += r.pivots;
-                    stats.lp_pivots += r.pivots;
-                    match r.outcome {
-                        SimplexOutcome::Optimal(s) => {
-                            relaxed = s;
-                            state = r.state;
-                        }
-                        // Tightened rows exclude no integer point, so an
-                        // infeasible repaired root holds no integer solution.
-                        SimplexOutcome::Infeasible | SimplexOutcome::Unbounded => continue,
-                        SimplexOutcome::IterationLimit => {
-                            stats.lp_iteration_limited += 1;
-                            continue;
-                        }
-                        SimplexOutcome::InvalidModel(why) => {
-                            return Err(fail(stats, SolveError::InvalidModel(why)));
-                        }
-                    }
-                }
             }
 
             // Bound: prune unless the relaxation strictly improves on the
@@ -749,16 +702,15 @@ impl BranchBound {
                     // starts are disabled or the frontier already retains
                     // its memory budget's worth of snapshots — beyond that,
                     // children re-solve cold.
-                    let state = self.warm_start.then_some(state).flatten().map(Rc::new);
-                    let bytes = state.as_deref().map_or(0, state_bytes);
-                    let state = if state.is_some()
-                        && (retained_entries + 2) * (bytes / 2) <= WARM_STATE_MEMORY_BUDGET
-                    {
+                    let state = self
+                        .warm_start
+                        .then_some(state)
+                        .flatten()
+                        .filter(|st| fits_warm_state_budget(retained_entries, state_bytes(st)))
+                        .map(Rc::new);
+                    if state.is_some() {
                         retained_entries += 2;
-                        state
-                    } else {
-                        None
-                    };
+                    }
                     let bound = relaxed.objective;
                     // The far child joins the open list; the near (rounded)
                     // child goes straight into the dive slot.
@@ -846,6 +798,20 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+    }
+
+    #[test]
+    fn warm_state_budget_holds_at_its_boundary() {
+        // A 1 MiB state charges 512 KiB to each of its two entries, so the
+        // 64 MiB budget admits it while at most 126 entries already hold a
+        // state (126 + 2 = 128 halves) and refuses it at 127.
+        let mib = 1 << 20;
+        assert!(fits_warm_state_budget(126, mib));
+        assert!(!fits_warm_state_budget(127, mib));
+        // A state the size of the whole budget fits an empty frontier;
+        // two bytes more (one per half) do not.
+        assert!(fits_warm_state_budget(0, WARM_STATE_MEMORY_BUDGET));
+        assert!(!fits_warm_state_budget(0, WARM_STATE_MEMORY_BUDGET + 2));
     }
 
     #[test]
@@ -1026,9 +992,11 @@ mod tests {
         );
         assert_eq!(
             stats.lp_pivots,
-            stats.warm_pivots + stats.cold_pivots + stats.cut_pivots,
-            "every pivot is a warm, cold or cut-repair pivot"
+            stats.warm_pivots + stats.cold_pivots,
+            "every pivot is a warm or cold pivot"
         );
+        assert_eq!(stats.cut_pivots, 0, "no row is ever appended");
+        assert_eq!(stats.cuts_added, 0, "no row is ever appended");
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //!   variables ([`problem`]),
 //! * a **bounded-variable simplex** solver for the LP relaxation over a
 //!   dense tableau of the nonbasic columns only — variable bounds live in
-//!   the ratio test, not in extra rows — with two
-//!   dual-simplex warm restarts: [`SimplexSolver::resolve`] after bound
-//!   fixings or appended rows, and [`SimplexSolver::reenter`] after
-//!   right-hand sides moved ([`simplex`]),
+//!   the ratio test, not in extra rows — with two dual-simplex warm
+//!   restarts: [`SimplexSolver::resolve`] after bound fixings, and
+//!   [`SimplexSolver::reenter`] after right-hand sides moved ([`simplex`]),
 //! * a **branch-and-bound** 0-1 ILP solver built on top of it, with one
 //!   fixed search policy (best-bound order with plunging, pseudo-cost
-//!   branching, reduced-cost fixing and knapsack presolve), which warm-starts every
-//!   child node with the dual simplex from the parent's optimal basis
+//!   branching, reduced-cost fixing, and a presolve that fixes every item
+//!   overflowing a knapsack row alone), which warm-starts every child node
+//!   with the dual simplex from the parent's optimal basis
 //!   ([`branch_bound`], [`basis`]),
 //! * an **exhaustive** enumerator for small instances, used both to validate
 //!   branch-and-bound in tests and to generate the full trade-off space of
@@ -46,12 +46,12 @@
 
 pub mod basis;
 pub mod branch_bound;
-pub(crate) mod cuts;
 pub mod exhaustive;
 pub mod expr;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod greedy;
+pub(crate) mod presolve;
 pub mod problem;
 pub mod simplex;
 

@@ -23,9 +23,8 @@
 //! * [`SimplexSolver::solve_tracked`] — a cold two-phase solve that returns
 //!   the optimal [`LpState`] alongside the solution,
 //! * [`SimplexSolver::resolve`] — a **dual simplex** re-solve from a
-//!   previously solved state after tightening variable bounds or appending
-//!   rows, used by branch-and-bound to warm-start child nodes and cut
-//!   rounds, and
+//!   previously solved state after tightening variable bounds, used by
+//!   branch-and-bound to warm-start child nodes, and
 //! * [`SimplexSolver::reenter`] — the same repair after right-hand sides
 //!   moved, used to chain root relaxations across frontier sweep points.
 
@@ -197,27 +196,22 @@ impl SimplexSolver {
     }
 
     /// Warm re-solve from a previously solved state after tightening bounds:
-    /// each `(var, value)` fixing sets `lower = upper = value`, and every
-    /// constraint the problem has beyond the state's rows is appended (see
-    /// `LpState::append_rows`).  Tightened bounds and appended rows both
-    /// leave the parent's reduced costs dual feasible, so the **dual
+    /// each `(var, value)` fixing sets `lower = upper = value`.  Tightened
+    /// bounds leave the parent's reduced costs dual feasible, so the **dual
     /// simplex** restores primal feasibility from the parent basis — usually
     /// in a handful of pivots instead of a full cold solve.
     ///
-    /// Branch-and-bound warm-starts every child node through here, including
-    /// nodes snapshotted before a cutting plane was appended: each new row
-    /// enters with its slack basic and zero reduced cost.  A caller that
-    /// still needs its state afterwards passes a clone.
+    /// Branch-and-bound warm-starts every child node through here.  A caller
+    /// that still needs its state afterwards passes a clone.
     ///
-    /// A problem with a different variable count, or with fewer constraints
-    /// than the state has rows, is an [`SimplexOutcome::InvalidModel`]: rows
-    /// may only be appended.
+    /// A problem whose variable or constraint count differs from the state
+    /// is an [`SimplexOutcome::InvalidModel`]: only bounds may change.
     pub fn resolve(&self, problem: &Problem, mut st: LpState, fixings: &[(Var, f64)]) -> LpResult {
-        if problem.num_vars() != st.n || problem.num_constraints() < st.num_rows() {
+        if problem.num_vars() != st.n || problem.num_constraints() != st.num_rows() {
             return LpResult::plain(
                 SimplexOutcome::InvalidModel(format!(
                     "resolve: problem has {} vars × {} constraints but the state \
-                     was solved for {} × {} — rows may only be appended",
+                     was solved for {} × {} — only bounds may change",
                     problem.num_vars(),
                     problem.num_constraints(),
                     st.n,
@@ -229,22 +223,6 @@ impl SimplexSolver {
         if let Err(e) = self.apply_fixings(&mut st, fixings) {
             return *e;
         }
-        let missing: Vec<(Vec<f64>, f64, f64, f64)> = problem.constraints()[st.num_rows()..]
-            .iter()
-            .map(|c| {
-                let mut coeffs = vec![0.0; st.n];
-                for (v, k) in c.expr.terms() {
-                    coeffs[v.index()] += k;
-                }
-                let (slo, sup) = match c.op {
-                    Cmp::Le => (0.0, f64::INFINITY),
-                    Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-                    Cmp::Eq => (0.0, 0.0),
-                };
-                (coeffs, c.rhs, slo, sup)
-            })
-            .collect();
-        st.append_rows(&missing);
         self.repair_and_extract(problem, st)
     }
 
@@ -1337,16 +1315,15 @@ mod tests {
     }
 
     #[test]
-    fn resolve_appends_the_rows_the_state_lacks() {
+    fn resolve_rejects_a_row_count_mismatch() {
         // Regression: a warm resolve used to ignore rows added after the
         // state was solved and returned the now infeasible x = 1.
         let (mut p, x, state) = one_row_state();
         p.add_constraint(LinearExpr::var(x), Cmp::Le, 0.0);
-        let warm = SimplexSolver::new().resolve(&p, state, &[]);
-        let sol = warm.outcome.solution().expect("x = 0 is feasible");
-        assert_close(sol.value(x), 0.0);
-        assert!(p.is_feasible(&sol.values, 1e-9));
-        assert_eq!(warm.state.expect("optimal").num_rows(), 2);
+        assert!(matches!(
+            SimplexSolver::new().resolve(&p, state, &[]).outcome,
+            SimplexOutcome::InvalidModel(_)
+        ));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property-based test for the search-quality machinery: on random
-//! placement-shaped instances the default solver — presolve with its
-//! tightened rows, reduced-cost fixing and best-bound order together — must
-//! return the exhaustive optimum.  The validity of each tightened row on its
-//! own is checked exhaustively in the `cuts` module's unit tests.
+//! placement-shaped instances the default solver — presolve's overflow
+//! fixings, pseudo-cost branching, reduced-cost fixing and best-bound order
+//! together — must return the exhaustive optimum.  The validity of the
+//! presolve fixings on their own is checked exhaustively in the `presolve`
+//! module's unit tests.
 
 use flashram_ilp::{
     BranchBound, Cmp, ExhaustiveSolver, LinearExpr, Problem, Sense, SolveError, Var,
