@@ -325,37 +325,53 @@ impl PlacementSession {
             self.root.as_ref(),
             repaired.as_ref().or(self.last_solution.as_ref()),
         )?;
-        let selected = self.model.selected_blocks(&run.solution);
-        let predicted = evaluate_placement(&self.params, &selected, &self.model.config);
-        // The budget row's coefficients are integers, so the rounded LHS is
-        // exact; clamp tolerance drift into the solved budget.
-        let model_ram_used =
-            (self.model.ram_used(&run.solution).round().max(0.0) as u32).min(r_spare);
-        self.stats.points_solved += 1;
-        if run.chained {
-            self.stats.chained_roots += 1;
-        }
-        self.stats.nodes_explored += run.stats.nodes_explored;
-        self.stats.lp_pivots += run.stats.lp_pivots;
-        self.stats.root_pivots += run.stats.root_pivots;
-        self.stats.state_bytes_copied += run.stats.state_bytes_copied;
+        let proven = !run.stats.budget_exhausted
+            && run.stats.lp_iteration_limited == 0
+            && !run.stats.time_limit_hit;
+        let point = self.record_point(&run.solution, run.stats, run.chained, proven);
         if run.root_state.is_some() {
             self.root = run.root_state;
         }
-        self.last_solution = Some(run.solution.clone());
-        Ok(SweepPoint {
+        self.last_solution = Some(run.solution);
+        Ok(point)
+    }
+
+    /// The sweep point of `solution` under the model's current budgets, with
+    /// the solve's effort folded into the session's [`SweepStats`].
+    fn record_point(
+        &mut self,
+        solution: &Solution,
+        stats: BranchBoundStats,
+        chained: bool,
+        proven: bool,
+    ) -> SweepPoint {
+        let ModelConfig {
+            r_spare, x_limit, ..
+        } = self.model.config;
+        let selected = self.model.selected_blocks(solution);
+        let predicted = evaluate_placement(&self.params, &selected, &self.model.config);
+        // The budget row's coefficients are integers, so the rounded LHS is
+        // exact; clamp tolerance drift into the solved budget.
+        let model_ram_used = (self.model.ram_used(solution).round().max(0.0) as u32).min(r_spare);
+        self.stats.points_solved += 1;
+        if chained {
+            self.stats.chained_roots += 1;
+        }
+        self.stats.nodes_explored += stats.nodes_explored;
+        self.stats.lp_pivots += stats.lp_pivots;
+        self.stats.root_pivots += stats.root_pivots;
+        self.stats.state_bytes_copied += stats.state_bytes_copied;
+        SweepPoint {
             r_spare,
             x_limit,
             selected,
             predicted,
-            objective: run.solution.objective,
+            objective: solution.objective,
             model_ram_used,
-            stats: run.stats,
-            chained: run.chained,
-            proven: !run.stats.budget_exhausted
-                && run.stats.lp_iteration_limited == 0
-                && !run.stats.time_limit_hit,
-        })
+            stats,
+            chained,
+            proven,
+        }
     }
 
     /// Repair a solution that no longer fits the current budgets by
@@ -434,28 +450,9 @@ impl PlacementSession {
                 // `solve_point_raw` already retargeted the budget rows, so
                 // the greedy heuristic sees exactly the budgets the ILP
                 // gave up on.
-                let solution = GreedySolver { allow_unset: false }.solve(&self.model.problem)?;
-                let selected = self.model.selected_blocks(&solution);
-                let predicted = evaluate_placement(&self.params, &selected, &self.model.config);
-                let model_ram_used =
-                    (self.model.ram_used(&solution).round().max(0.0) as u32).min(r_spare);
-                self.stats.points_solved += 1;
-                self.stats.nodes_explored += attempt.nodes_explored;
-                self.stats.lp_pivots += attempt.lp_pivots;
-                self.stats.root_pivots += attempt.root_pivots;
-                self.stats.state_bytes_copied += attempt.state_bytes_copied;
+                let solution = GreedySolver::new().solve(&self.model.problem)?;
                 Ok(DegradedPoint {
-                    point: SweepPoint {
-                        r_spare,
-                        x_limit,
-                        selected,
-                        predicted,
-                        objective: solution.objective,
-                        model_ram_used,
-                        stats: *attempt,
-                        chained: false,
-                        proven: false,
-                    },
+                    point: self.record_point(&solution, *attempt, false, false),
                     resolution: PointResolution::FallbackGreedy,
                 })
             }

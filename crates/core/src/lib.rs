@@ -69,7 +69,7 @@ pub use frontier::{
     PlacementSession, PointResolution, SweepPoint, SweepStats, ValidatedPoint,
 };
 pub use model::{evaluate_placement, ModelConfig, PlacementEstimate, PlacementModel};
-pub use optimizer::{OptimizeError, OptimizerConfig, Placement, RamOptimizer, Solver};
+pub use optimizer::{OptimizeError, OptimizerConfig, Placement, RamOptimizer};
 pub use params::{
     extract_params, extract_params_for_timing, extract_params_scoped, BlockParams, FrequencySource,
     PlacementScope, ProgramParams,

@@ -3,31 +3,20 @@
 //! [`RamOptimizer`] glues the pieces together exactly as the paper's
 //! prototype does: extract the per-block parameters from the compiled
 //! program, build the ILP, solve it, and rewrite the code.  The optimizer
-//! can also run with simpler selection policies (greedy, or none) so the
-//! evaluation can compare against baselines, and with either the static
-//! frequency estimate or a measured profile (Figure 5).
+//! runs with either the static frequency estimate or a measured profile
+//! (Figure 5).  It is a one-point [`PlacementSession`], so it shares the
+//! frontier engine's solve path, including the greedy fallback when the
+//! node budget runs out before any integer solution exists.
 
-use flashram_ilp::{BranchBoundStats, GreedySolver, SolveError};
+use flashram_ilp::{BranchBoundStats, SolveError};
 
 use flashram_ir::{BlockRef, MachineProgram};
 use flashram_mcu::Board;
 
 use crate::frontier::{PlacementSession, PointResolution};
-use crate::model::{evaluate_placement, ModelConfig, PlacementEstimate, PlacementModel};
-use crate::params::{extract_params_for_timing, FrequencySource, PlacementScope, ProgramParams};
+use crate::model::{ModelConfig, PlacementEstimate};
+use crate::params::{FrequencySource, PlacementScope, ProgramParams};
 use crate::transform::apply_placement_scoped;
-
-/// Which selection algorithm chooses the blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Solver {
-    /// The paper's approach: branch-and-bound ILP over the Section 4 model.
-    #[default]
-    Ilp,
-    /// A greedy knapsack-style heuristic baseline.
-    Greedy,
-    /// No relocation at all (the measurement baseline).
-    None,
-}
 
 /// Configuration of the optimization pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,8 +29,6 @@ pub struct OptimizerConfig {
     pub r_spare: Option<u32>,
     /// Source of the block-frequency parameter `F_b`.
     pub frequency: FrequencySource,
-    /// Selection algorithm.
-    pub solver: Solver,
     /// Whether library code may be relocated too (the paper's future-work
     /// linker-level mode).
     pub scope: PlacementScope,
@@ -58,7 +45,6 @@ impl Default for OptimizerConfig {
             x_limit: 1.5,
             r_spare: None,
             frequency: FrequencySource::default(),
-            solver: Solver::Ilp,
             scope: PlacementScope::ApplicationOnly,
             max_ilp_nodes: None,
         }
@@ -111,16 +97,15 @@ pub struct Placement {
     pub r_spare: u32,
     /// The model configuration (power coefficients, `X_limit`).
     pub model_config: ModelConfig,
-    /// Whether the selection came from a heuristic rather than a proven
-    /// optimum: true for the greedy solver, for the ILP path when the node
+    /// Whether the selection is not a proven optimum: true when the node
     /// budget ran out and the optimizer fell back to greedy, and for an ILP
     /// incumbent returned under an exhausted budget or with LP-iteration-
-    /// limited subtrees skipped.
+    /// limited subtrees skipped (any [`PointResolution`] but `Exact`).
     pub heuristic: bool,
-    /// Branch-and-bound statistics of the ILP solve (`None` for the
-    /// greedy/none solvers).  For the greedy *fallback* after budget
-    /// exhaustion these are the stats of the failed ILP attempt — the
-    /// effort actually spent before degrading, not zeros.
+    /// Branch-and-bound statistics of the ILP solve; always `Some`.  For
+    /// the greedy *fallback* after budget exhaustion these are the stats of
+    /// the failed ILP attempt — the effort actually spent before degrading,
+    /// not zeros.
     pub solver_stats: Option<BranchBoundStats>,
 }
 
@@ -200,64 +185,22 @@ impl RamOptimizer {
         program: &MachineProgram,
         board: &Board,
     ) -> Result<Placement, OptimizeError> {
-        let spare = match self.config.r_spare {
-            Some(s) => s,
-            None => board
-                .spare_ram(program)
-                .map_err(|e| OptimizeError::DoesNotFit(e.to_string()))?,
-        };
-        let params = extract_params_for_timing(
-            program,
-            &self.config.frequency,
-            self.config.scope,
-            &board.timing,
-        );
-        let model_config = self.model_config_for(board, spare);
-
-        type Outcome = (ProgramParams, Vec<BlockRef>, bool, Option<BranchBoundStats>);
-        let (params, selected, heuristic, solver_stats): Outcome = match self.config.solver {
-            Solver::None => (params, Vec::new(), false, None),
-            Solver::Ilp => {
-                // A one-point placement session: `optimize` is the
-                // degenerate sweep, so it shares the frontier engine's
-                // solve path — including the degradation to the greedy
-                // heuristic when the node budget (or a wall-clock limit)
-                // runs out before any integer solution exists.  The
-                // session owns the params while solving and hands them
-                // back afterwards.
-                let mut session = PlacementSession::from_params(params, &model_config);
-                if let Some(n) = self.config.max_ilp_nodes {
-                    session.solver.max_nodes = n;
-                }
-                let solved = session.solve_point_degraded(spare, self.config.x_limit)?;
-                (
-                    session.into_params(),
-                    solved.point.selected,
-                    solved.resolution != PointResolution::Exact,
-                    Some(solved.point.stats),
-                )
-            }
-            Solver::Greedy => {
-                let model = PlacementModel::build(&params, &model_config);
-                let solution = GreedySolver { allow_unset: false }.solve(&model.problem)?;
-                let selected = model.selected_blocks(&solution);
-                (params, selected, true, None)
-            }
-        };
-
-        let predicted = evaluate_placement(&params, &selected, &model_config);
-        let predicted_base = evaluate_placement(&params, &[], &model_config);
-        let program = apply_placement_scoped(program, &selected, self.config.scope);
+        let mut session = self.session(program, board)?;
+        let spare = session.spare_ram();
+        let solved = session.solve_point_degraded(spare, self.config.x_limit)?;
+        let predicted_base = session.baseline();
+        let model_config = session.model().config.clone();
+        let selected = solved.point.selected;
         Ok(Placement {
-            program,
+            program: apply_placement_scoped(program, &selected, self.config.scope),
             selected,
-            params,
-            predicted,
+            params: session.into_params(),
+            predicted: solved.point.predicted,
             predicted_base,
             r_spare: spare,
             model_config,
-            heuristic,
-            solver_stats,
+            heuristic: solved.resolution != PointResolution::Exact,
+            solver_stats: Some(solved.point.stats),
         })
     }
 
@@ -285,6 +228,8 @@ impl RamOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::evaluate_placement;
+    use flashram_ilp::GreedySolver;
     use flashram_mcu::Board;
     use flashram_minicc::{compile_program, OptLevel, SourceUnit};
 
@@ -350,31 +295,54 @@ mod tests {
     }
 
     #[test]
-    fn none_solver_is_identity() {
-        let board = Board::stm32vldiscovery();
-        let prog = program();
-        let optimizer = RamOptimizer::with_config(OptimizerConfig {
-            solver: Solver::None,
-            ..OptimizerConfig::default()
-        });
-        let placement = optimizer.optimize(&prog, &board).unwrap();
-        assert!(placement.selected.is_empty());
-        assert_eq!(placement.program, prog);
-        assert!((placement.predicted_energy_ratio() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn greedy_baseline_never_beats_the_ilp_model() {
         let board = Board::stm32vldiscovery();
         let prog = program();
         let ilp = RamOptimizer::new().optimize(&prog, &board).unwrap();
-        let greedy = RamOptimizer::with_config(OptimizerConfig {
-            solver: Solver::Greedy,
-            ..OptimizerConfig::default()
-        })
-        .optimize(&prog, &board)
-        .unwrap();
-        assert!(ilp.predicted.energy <= greedy.predicted.energy + 1e-6);
+        let session = RamOptimizer::new().session(&prog, &board).unwrap();
+        let model = session.model();
+        let greedy = GreedySolver::new().solve(&model.problem).unwrap();
+        let greedy = evaluate_placement(
+            session.params(),
+            &model.selected_blocks(&greedy),
+            &model.config,
+        );
+        assert!(ilp.predicted.energy <= greedy.energy + 1e-6);
+    }
+
+    #[test]
+    fn optimize_is_a_one_point_session() {
+        let board = Board::stm32vldiscovery();
+        let prog = program();
+        let untimed = |stats: BranchBoundStats| BranchBoundStats {
+            wall_ms: 0.0,
+            ..stats
+        };
+        for max_ilp_nodes in [None, Some(0)] {
+            let optimizer = RamOptimizer::with_config(OptimizerConfig {
+                max_ilp_nodes,
+                ..OptimizerConfig::default()
+            });
+            let placement = optimizer.optimize(&prog, &board).unwrap();
+            let mut session = PlacementSession::new(&prog, &board, &optimizer.config).unwrap();
+            let spare = session.spare_ram();
+            let solved = session
+                .solve_point_degraded(spare, optimizer.config.x_limit)
+                .unwrap();
+            assert_eq!(placement.selected, solved.point.selected);
+            assert_eq!(placement.predicted, solved.point.predicted);
+            assert_eq!(placement.predicted_base, session.baseline());
+            assert_eq!(
+                placement.heuristic,
+                solved.resolution != PointResolution::Exact
+            );
+            assert_eq!(
+                placement.solver_stats.map(untimed),
+                Some(untimed(solved.point.stats))
+            );
+            assert_eq!(placement.r_spare, spare);
+            assert_eq!(placement.model_config, session.model().config);
+        }
     }
 
     #[test]
@@ -424,20 +392,6 @@ mod tests {
         let opt = board.run(&placement.program).unwrap();
         let base = board.run(&prog).unwrap();
         assert_eq!(base.return_value, opt.return_value);
-    }
-
-    #[test]
-    fn greedy_solver_is_flagged_heuristic() {
-        let board = Board::stm32vldiscovery();
-        let prog = program();
-        let placement = RamOptimizer::with_config(OptimizerConfig {
-            solver: Solver::Greedy,
-            ..OptimizerConfig::default()
-        })
-        .optimize(&prog, &board)
-        .unwrap();
-        assert!(placement.heuristic);
-        assert!(placement.solver_stats.is_none());
     }
 
     #[test]

@@ -15,29 +15,13 @@
 //! Programming*, 1983, ch. 2–3).  A pivot swaps the leaving column into the
 //! entering column's stored position.
 
-/// A compact snapshot of a simplex basis: which column is basic in each row,
-/// and at which bound every nonbasic column rests.
-///
-/// Columns `0..num_structural` are the problem's variables; the following
-/// columns are the per-constraint slacks, then any phase-1 artificials.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Basis {
-    /// The basic column of each tableau row.
-    pub basic_cols: Vec<usize>,
-    /// Per column, whether a nonbasic column sits at its upper bound
-    /// (meaningless for basic columns).
-    pub at_upper: Vec<bool>,
-    /// Number of structural (problem) variables.
-    pub num_structural: usize,
-}
-
 /// The full state of a solved (or in-progress) LP: tableau, basis, bounds.
 ///
 /// Cloning an `LpState` — one `memcpy` of the `rows × (cols − rows)`
 /// nonbasic tableau plus the per-column vectors — and tightening a
 /// variable's bounds, then running the dual simplex, is how branch-and-bound
 /// warm-starts child nodes.  The state is opaque outside the crate apart
-/// from the size accessors and [`LpState::basis`].
+/// from the size accessors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpState {
     /// The nonbasic columns of `B⁻¹A`, row-major `rows × width` with
@@ -105,15 +89,6 @@ impl LpState {
     /// matches the problem's current right-hand sides.
     pub fn solved_rhs(&self) -> &[f64] {
         &self.rhs
-    }
-
-    /// A compact snapshot of the current basis.
-    pub fn basis(&self) -> Basis {
-        Basis {
-            basic_cols: self.basis.clone(),
-            at_upper: self.at_upper.clone(),
-            num_structural: self.n,
-        }
     }
 
     /// The current value of a column: its basic value if basic, otherwise
@@ -184,9 +159,6 @@ mod tests {
         assert_eq!(state.num_structural(), 2);
         assert_eq!(state.num_artificials(), 0);
         assert_eq!(state.num_cols(), 4);
-        let basis = state.basis();
-        assert_eq!(basis.basic_cols.len(), 2);
-        assert_eq!(basis.num_structural, 2);
     }
 
     /// The compact layout's invariants: `cols − rows` stored columns, the

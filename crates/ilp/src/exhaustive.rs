@@ -1,9 +1,8 @@
 //! Exhaustive enumeration of 0-1 assignments.
 //!
-//! Two uses: validating the branch-and-bound solver on small instances, and
-//! generating the complete placement trade-off space of Figure 6 (the paper
-//! enumerates all `2^k` combinations of basic blocks in RAM to show where the
-//! ILP solutions fall).
+//! The reference the tests validate branch-and-bound against on small
+//! instances.  (Figure 6's full trade-off space enumerates block subsets
+//! directly, in `flashram_bench::tradeoff_space`.)
 
 use crate::problem::{Problem, Solution, SolveError, VarKind};
 
@@ -94,45 +93,6 @@ impl ExhaustiveSolver {
         }
         Ok(())
     }
-
-    /// Enumerate **all** assignments (feasible or not), calling `visit` with
-    /// the assignment and its feasibility.  Used to plot full trade-off
-    /// spaces where infeasible points are still interesting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::InvalidModel`] under the same conditions as
-    /// [`ExhaustiveSolver::solve`].
-    pub fn for_each_assignment<F: FnMut(&Solution, bool)>(
-        &self,
-        problem: &Problem,
-        mut visit: F,
-    ) -> Result<(), SolveError> {
-        problem.check()?;
-        let n = problem.num_vars();
-        if n > self.max_vars {
-            return Err(SolveError::InvalidModel(format!(
-                "{n} binary variables exceed the exhaustive limit of {}",
-                self.max_vars
-            )));
-        }
-        let mut values = vec![0.0; n];
-        for mask in 0u64..(1u64 << n) {
-            for (i, v) in values.iter_mut().enumerate() {
-                *v = ((mask >> i) & 1) as f64;
-            }
-            let feasible = problem.is_feasible(&values, 1e-9);
-            let objective = problem.objective_value(&values);
-            visit(
-                &Solution {
-                    values: values.clone(),
-                    objective,
-                },
-                feasible,
-            );
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -176,23 +136,6 @@ mod tests {
                 bb.objective
             );
         }
-    }
-
-    #[test]
-    fn counts_all_assignments() {
-        let (p, _) = knapsack(&[1.0, 2.0, 3.0], &[1.0, 1.0, 1.0], 10.0);
-        let mut total = 0;
-        let mut feasible = 0;
-        ExhaustiveSolver::new()
-            .for_each_assignment(&p, |_, ok| {
-                total += 1;
-                if ok {
-                    feasible += 1;
-                }
-            })
-            .unwrap();
-        assert_eq!(total, 8);
-        assert_eq!(feasible, 8, "capacity 10 admits every subset");
     }
 
     #[test]

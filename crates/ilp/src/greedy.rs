@@ -1,26 +1,20 @@
-//! A greedy improvement heuristic for 0-1 problems.
+//! A greedy accretion heuristic for 0-1 problems.
 //!
-//! Used as a comparison baseline for the ILP formulation (the paper's model
-//! is contrasted with simpler selection policies in the evaluation) and as a
-//! fallback when the branch-and-bound node budget is exhausted.
+//! The placement pipeline's fallback when branch-and-bound exhausts its node
+//! budget (or wall-clock limit) before finding any integer solution.
 
-use crate::expr::Var;
 use crate::problem::{Problem, Solution, SolveError, VarKind};
 
 /// A greedy 0-1 solver: starting from the all-zeros assignment, repeatedly
 /// set the single variable that most improves the objective while keeping
 /// the assignment feasible, until no improving flip exists.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GreedySolver {
-    /// If true, also consider clearing already-set variables (a 1-exchange
-    /// local search rather than pure accretion).
-    pub allow_unset: bool,
-}
+pub struct GreedySolver;
 
 impl GreedySolver {
-    /// A pure accretive greedy solver.
+    /// The greedy solver.
     pub fn new() -> GreedySolver {
-        GreedySolver::default()
+        GreedySolver
     }
 
     /// Run the heuristic.
@@ -49,15 +43,12 @@ impl GreedySolver {
         let mut objective = problem.objective_value(&values);
 
         loop {
-            let mut best_flip: Option<(Var, f64)> = None;
+            let mut best_flip: Option<(usize, f64)> = None;
             for i in 0..n {
-                let var = Var(i);
-                let current = values[i];
-                let flipped = 1.0 - current;
-                if current > 0.5 && !self.allow_unset {
+                if values[i] > 0.5 {
                     continue;
                 }
-                values[i] = flipped;
+                values[i] = 1.0;
                 if problem.is_feasible(&values, 1e-9) {
                     let obj = problem.objective_value(&values);
                     if problem.is_better(obj, objective) {
@@ -65,15 +56,15 @@ impl GreedySolver {
                         let better_than_best =
                             best_flip.is_none_or(|(_, best_impr)| improvement > best_impr);
                         if better_than_best {
-                            best_flip = Some((var, improvement));
+                            best_flip = Some((i, improvement));
                         }
                     }
                 }
-                values[i] = current;
+                values[i] = 0.0;
             }
             match best_flip {
-                Some((var, _)) => {
-                    values[var.index()] = 1.0 - values[var.index()];
+                Some((i, _)) => {
+                    values[i] = 1.0;
                     objective = problem.objective_value(&values);
                 }
                 None => break,

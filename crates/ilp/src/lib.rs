@@ -18,11 +18,10 @@
 //!   overflowing a knapsack row alone), which warm-starts every child node
 //!   with the dual simplex from the parent's optimal basis
 //!   ([`branch_bound`], [`basis`]),
-//! * an **exhaustive** enumerator for small instances, used both to validate
-//!   branch-and-bound in tests and to generate the full trade-off space of
-//!   Figure 6 ([`exhaustive`]), and
-//! * a **greedy** improvement heuristic used as a baseline and as a fallback
-//!   when the node budget is exhausted ([`greedy`]).
+//! * an **exhaustive** enumerator for small instances, the reference the
+//!   tests validate branch-and-bound against ([`exhaustive`]), and
+//! * a **greedy** accretion heuristic, the fallback when the node budget is
+//!   exhausted before any integer solution is found ([`greedy`]).
 //!
 //! # Example
 //!
@@ -55,7 +54,7 @@ pub(crate) mod presolve;
 pub mod problem;
 pub mod simplex;
 
-pub use basis::{Basis, LpState};
+pub use basis::LpState;
 pub use branch_bound::{BranchBound, BranchBoundStats, ChainedSolve};
 pub use exhaustive::ExhaustiveSolver;
 pub use expr::{LinearExpr, Var};

@@ -79,9 +79,10 @@
 //!   checks each worker's heartbeat (stamped at batch start and before
 //!   every job).  A worker busy past the deadline is presumed wedged: its
 //!   in-flight jobs are failed with [`ServeError::SolverPanicked`], its
-//!   entry quarantined, the batch marked abandoned (so a late finish by
-//!   the old thread cannot double-count), and a replacement worker thread
-//!   spawned — [`ServerStats::worker_restarts`] counts these.
+//!   entry quarantined, the batch's in-flight record removed (so a late
+//!   finish by the old thread, finding no record, cannot double-count),
+//!   and a replacement worker thread spawned —
+//!   [`ServerStats::worker_restarts`] counts these.
 //!
 //! The deterministic fault-injection failpoints that exercise all of this
 //! live behind the `fault-injection` cargo feature (see
@@ -132,8 +133,6 @@ pub struct ServerConfig {
     /// response to [`Outcome::Heuristic`] deterministically.  `None` uses
     /// the solver default.
     pub max_ilp_nodes: Option<usize>,
-    /// Deadline applied to requests that do not carry their own.
-    pub default_deadline: Option<Duration>,
     /// Program content fingerprint for [`SessionKey`]s.  Pluggable so
     /// tests can force collisions; collisions are always survivable (the
     /// cache compares full contents), only slower.
@@ -162,7 +161,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_capacity: 8,
             max_ilp_nodes: None,
-            default_deadline: None,
             fingerprint: MachineProgram::content_fingerprint,
             worker_jitter_seed: None,
             watchdog: None,
@@ -237,12 +235,10 @@ struct State {
     /// Terminal: the server hit an unrecoverable internal inconsistency,
     /// failed everything pending, and refuses new work (module docs).
     draining: bool,
-    /// Batches currently being solved, keyed by batch id.
+    /// Batches currently being solved, keyed by batch id.  The watchdog
+    /// and a drain remove the batches whose jobs they fail; a worker that
+    /// finds its batch gone must not tally or release it on completion.
     inflight: HashMap<u64, InflightBatch>,
-    /// Batch ids whose jobs were already failed by the watchdog or a
-    /// drain; the (possibly still running) worker must not tally or
-    /// release them on completion.
-    abandoned: HashSet<u64>,
     /// Next batch id (starts at 1 — 0 means "idle" in a worker slot).
     next_batch: u64,
     /// The monotone counters; `cache`, `queued` and `draining` are filled
@@ -379,8 +375,7 @@ fn drain_state(st: &mut State) {
         st.counters.errors += 1;
         let _ = job.tx.send(Err(ServeError::Shutdown));
     }
-    for (batch_id, batch) in std::mem::take(&mut st.inflight) {
-        st.abandoned.insert(batch_id);
+    for batch in std::mem::take(&mut st.inflight).into_values() {
         for tx in batch.senders {
             st.counters.completed += 1;
             st.counters.errors += 1;
@@ -461,7 +456,6 @@ impl PlacementServer {
                 shutdown: false,
                 draining: false,
                 inflight: HashMap::new(),
-                abandoned: HashSet::new(),
                 next_batch: 1,
                 counters: ServerStats::default(),
             }),
@@ -645,10 +639,7 @@ impl PlacementServer {
             st.counters.session_misses += 1;
         }
         let now = Instant::now();
-        let deadline = req
-            .deadline
-            .or(self.shared.cfg.default_deadline)
-            .map(|d| now + d);
+        let deadline = req.deadline.map(|d| now + d);
         let (tx, rx) = mpsc::channel();
         let job = Job {
             query: req.query,
@@ -743,7 +734,6 @@ fn monitor_loop(shared: &Arc<Shared>, deadline: Duration) {
                     message: message.clone(),
                 }));
             }
-            st.abandoned.insert(batch);
             quarantine_and_rehome(shared, &mut st, wedged.entry);
             st.counters.worker_restarts += 1;
             slot.retired.store(true, Ordering::Release);
@@ -836,8 +826,7 @@ fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
         slot.busy_batch.store(0, Ordering::Release);
 
         let mut st = shared.lock_state();
-        st.inflight.remove(&batch_id);
-        if st.abandoned.remove(&batch_id) {
+        if st.inflight.remove(&batch_id).is_none() {
             // The watchdog (or a drain) already failed these jobs and
             // quarantined the entry; dropping `state` here is the point —
             // the half-trusted session must not rejoin the cache, and the

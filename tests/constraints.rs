@@ -4,10 +4,10 @@
 //! exhaustive enumeration on small instances.
 
 use flashram_core::{
-    evaluate_placement, extract_params, FrequencySource, ModelConfig, OptimizerConfig,
-    PlacementModel, RamOptimizer, Solver,
+    apply_placement_scoped, evaluate_placement, extract_params, FrequencySource, ModelConfig,
+    OptimizerConfig, PlacementModel, RamOptimizer,
 };
-use flashram_ilp::{BranchBound, ExhaustiveSolver};
+use flashram_ilp::{BranchBound, ExhaustiveSolver, GreedySolver};
 use flashram_ir::MachineProgram;
 use flashram_mcu::Board;
 use flashram_minicc::{compile_program, OptLevel, SourceUnit};
@@ -190,35 +190,27 @@ fn greedy_solutions_are_feasible_but_never_better_than_ilp() {
     let board = board();
     let prog = program(OptLevel::O2);
     for budget in [64u32, 256, 1024] {
-        let config = OptimizerConfig {
+        let optimizer = RamOptimizer::with_config(OptimizerConfig {
             r_spare: Some(budget),
             ..OptimizerConfig::default()
-        };
-        let ilp = RamOptimizer::with_config(OptimizerConfig {
-            solver: Solver::Ilp,
-            ..config.clone()
-        })
-        .optimize(&prog, &board)
-        .unwrap();
-        let greedy = RamOptimizer::with_config(OptimizerConfig {
-            solver: Solver::Greedy,
-            ..config
-        })
-        .optimize(&prog, &board)
-        .unwrap();
-        let greedy_used: u32 = greedy
-            .selected
-            .iter()
-            .map(|r| greedy.program.block(*r).size_bytes())
-            .sum();
+        });
+        let ilp = optimizer.optimize(&prog, &board).unwrap();
+        let session = optimizer.session(&prog, &board).unwrap();
+        let model = session.model();
+        let solution = GreedySolver::new().solve(&model.problem).unwrap();
+        assert!(model.problem.is_feasible(&solution.values, 1e-9));
+        let selected = model.selected_blocks(&solution);
+        let placed = apply_placement_scoped(&prog, &selected, optimizer.config.scope);
+        let greedy_used: u32 = selected.iter().map(|r| placed.block(*r).size_bytes()).sum();
         assert!(
             greedy_used <= budget,
             "greedy placement violates the RAM budget"
         );
+        let greedy = evaluate_placement(session.params(), &selected, &model.config);
         assert!(
-            ilp.predicted.energy <= greedy.predicted.energy + 1e-6,
+            ilp.predicted.energy <= greedy.energy + 1e-6,
             "budget {budget}: greedy model energy {} beats the ILP's {}",
-            greedy.predicted.energy,
+            greedy.energy,
             ilp.predicted.energy
         );
     }

